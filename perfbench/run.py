@@ -50,6 +50,13 @@ SERIAL_SETUPS = 5
 SERVED_SETUPS = 3
 #: Untraced/traced replay pass pairs per traced run (at most).
 MAX_REPLAY_PAIRS = 3
+#: A run of the benchmark's own length must leave this many requests
+#: beyond p90, so that p90 is not read off a handful of samples.
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+MIN_BEYOND_P90 = 10
+#: Largest share of the tracing overhead that the corrected self times
+#: may leave unexplained.  Uncorrected self times leave nearly all of it.
+ACCOUNTING_SHARE = 0.5
 
 
 class _FirstCell(Exception):
@@ -239,24 +246,14 @@ def end_to_end(workload, seed: int, seconds: float, checks: Checks):
     specs = workload.build(seed)
     if not workload.served:
         setup = serial_setup(workload.name, seed, SERIAL_SETUPS)
-        refs: list[Execution | None] = [None] * len(specs)
-        first_of_scenario: dict[str, int] = {}
-        for index, spec in enumerate(specs):
-            first_of_scenario.setdefault(spec.scenario, index)
-        for index in first_of_scenario.values():  # warm every scenario
-            refs[index] = execute(specs[index])
+        refs = [execute(spec) for spec in specs]  # untimed: warm-up and references
+        for index, ref in enumerate(refs):
+            checks.operation(
+                not quarantined(ref.rounds), f"reference {index}: quarantine"
+            )
         runs, elapsed = serial_loop(specs, seconds)
         for spec_index, run in runs:
-            # The first execution of a spec is its reference; every
-            # repeat must reproduce it.
-            if refs[spec_index] is None:
-                refs[spec_index] = run
-                checks.operation(not quarantined(run.rounds), "request: quarantine")
-            else:
-                checks.execution(run, refs[spec_index], f"request {spec_index}")
-        for index, ref in enumerate(refs):  # complete the reference pass
-            if ref is None:
-                refs[index] = execute(specs[index])
+            checks.execution(run, refs[spec_index], f"request {spec_index}")
         latencies = [run.seconds * 1000.0 for _i, run in runs]
         cells = sum(run.cells for _i, run in runs)
         ticks = sum(run.ticks for _i, run in runs)
@@ -287,11 +284,13 @@ def end_to_end(workload, seed: int, seconds: float, checks: Checks):
         cells = sum(len(request.cells) for request in requests)
         ticks = sum(refs[request.index].ticks for request in requests)
     tail = p90(latencies)
+    beyond = sum(ms > tail for ms in latencies)
     print(
         f"perfbench: {len(latencies)} requests in {elapsed:.3f} s, "
-        f"{sum(ms > tail for ms in latencies)} beyond p90; "
-        f"setup samples {[round(s, 4) for s in setup]}"
+        f"{beyond} beyond p90; setup samples {[round(s, 4) for s in setup]}"
     )
+    if seconds >= RUN_SECONDS:
+        checks.require(beyond >= MIN_BEYOND_P90, f"{MIN_BEYOND_P90} samples beyond p90")
     return refs, {
         "cells_per_s": metric(cells / elapsed, "cells/s"),
         "sim_ticks_per_s": metric(ticks / elapsed, "ticks/s"),
@@ -319,12 +318,6 @@ def layer_unit(name: str) -> str:
     if name.endswith(("_s", ".s")):
         return "s"
     return "ratio" if name.endswith("_ratio") else "count"
-
-
-def replay(specs):
-    start = time.perf_counter()
-    runs = [execute(spec) for spec in specs]
-    return runs, time.perf_counter() - start
 
 
 def traced(workload, seed: int, seconds: float, checks: Checks):
@@ -359,33 +352,31 @@ def traced(workload, seed: int, seconds: float, checks: Checks):
     for request in warm + requests:
         checks.remote(request, refs[request.index], f"request {request.index}")
     direct_ms = [run.seconds * 1000.0 for run in direct]
-    # 3. Serial replays, untraced and traced in turn.
+    # 3. Serial replays.  Each spec runs untraced, then traced, back to
+    # back, so host drift falls on both sides alike.
     replay_specs = [serial(spec) for spec in specs]
     before = originals()
     tracer = SpanTracer()
-    plain_walls, traced_walls = [], []
+    plain_s = traced_s = 0.0
+    passes = 0
     started = time.perf_counter()
-    while True:
-        runs, wall = replay(replay_specs)
-        plain_walls.append(wall)
-        for run, ref in zip(runs, refs):
+    while passes < MAX_REPLAY_PAIRS and (
+        passes == 0 or time.perf_counter() - started < seconds / 2
+    ):
+        for spec, ref in zip(replay_specs, refs):
+            run = execute(spec)
+            plain_s += run.seconds
             checks.execution(run, ref, "untraced replay")
-        with tracer:
-            runs, wall = replay(replay_specs)
-        traced_walls.append(wall)
-        for run, ref in zip(runs, refs):
+            with tracer:
+                run = execute(spec)
+            traced_s += run.seconds
             checks.execution(run, ref, "traced replay")
-        if (
-            len(traced_walls) >= MAX_REPLAY_PAIRS
-            or time.perf_counter() - started > seconds / 2
-        ):
-            break
+        passes += 1
     after = originals()
     checks.require(
         all(after[name] is before[name] for name in before),
         "wrappers removed after the traced run",
     )
-    passes = len(traced_walls)
     ticks = sum(ref.ticks for ref in refs)
     checks.require(
         tracer.calls("DualCoreSoC.step") == passes * ticks,
@@ -393,11 +384,20 @@ def traced(workload, seed: int, seconds: float, checks: Checks):
     )
     tracer.write(OUT / f"trace-{workload.name}-seed{seed}.json")
     layer = tracer.metrics(passes)
-    overhead = statistics.median(traced_walls) / statistics.median(plain_walls)
-    accounted = tracer.accounted_s() / sum(traced_walls)
+    overhead = traced_s / plain_s
+    accounted = tracer.accounted_s() / plain_s
     print(
-        f"perfbench: traced {passes} replay pass(es); overhead x{overhead:.3f}, "
-        f"spans account for {accounted:.3%} of traced wall"
+        f"perfbench: traced {passes} replay pass(es); overhead x{overhead:.3f}; "
+        f"wrapper cost {tracer.wrapper_s() / traced_s:.1%} of traced wall "
+        f"({tracer.hidden_s * 1e9:.0f} ns hidden + {tracer.bias_s * 1e9:.0f} ns "
+        f"in-span per call); corrected self times sum to {accounted:.1%} "
+        f"of untraced wall"
+    )
+    # The corrected self times must explain the tracing overhead: what
+    # they miss of the untraced wall is at most a share of the overhead.
+    checks.require(
+        abs(accounted - 1.0) <= ACCOUNTING_SHARE * (overhead - 1.0),
+        f"self times within {ACCOUNTING_SHARE:.0%} of the tracing overhead",
     )
     metrics = {name: metric(value, layer_unit(name)) for name, value in layer.items()}
     overhead_ms = [r.ms - direct_ms[r.index] for r in requests]

@@ -76,8 +76,10 @@ def test_small_run(workload):
     layer = {name: m["value"] for name, m in traced["metrics"].items()}
     assert layer["soc.ticks"] > 0 and layer["kernel.steps"] > 0
     assert layer["trace.overhead_ratio"] > 1.0
-    # Self times account for the traced wall to within the overhead.
-    assert 1.0 - layer["trace.accounted_ratio"] < layer["trace.overhead_ratio"] - 1.0
+    # Corrected self times explain the tracing overhead: they sum to the
+    # untraced wall to within half of it.
+    overhead = layer["trace.overhead_ratio"] - 1.0
+    assert abs(layer["trace.accounted_ratio"] - 1.0) <= 0.5 * overhead
     expected_spawns = 1 if workload == "served_mix" else 0
     assert layer["pool.spawns"] == expected_spawns
     other, digest_other = result(workload, 2, 0)

@@ -19,9 +19,10 @@ _LISTENING = re.compile(r"listening on ([0-9.]+):(\d+)")
 
 
 class Server:
-    """One ``python3 -m repro serve --port 0`` subprocess of the checkout."""
+    """One ``python3 -m repro serve --port 0 --max-concurrent 2`` subprocess
+    of the checkout."""
 
-    def __init__(self, root: Path, max_concurrent: int = 2):
+    def __init__(self, root: Path):
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         self.proc = subprocess.Popen(
             [
@@ -32,7 +33,7 @@ class Server:
                 "--port",
                 "0",
                 "--max-concurrent",
-                str(max_concurrent),
+                "2",
             ],
             cwd=root,
             env=env,

@@ -8,10 +8,18 @@ program's own code objects and carry no wrapper cost.  Nothing in
 
 Each wrapped call is a span with a parent (the innermost enclosing
 wrapped call).  Spans are aggregated in memory per ``(parent, name)``
-edge as ``[calls, total_s, self_s]``, where self time is the span's
-duration minus the durations of its child spans; :meth:`write` dumps
+edge as ``[calls, total_s, self_s, wrapper_s]``; :meth:`write` dumps
 the table at the end of the run.  The same wrappers count the work each
 layer did and classify every simulated tick (the tick census).
+
+Self time is the span's duration minus everything its child calls cost,
+wrapper included.  A wrapper clocks its own bookkeeping and hooks
+around the child's timed span, and :func:`calibrate` measures, on a
+wrapped no-op, the part of a wrapper call those clocks cannot see (the
+extra call frame) and the clock cost inside a timed span.  Both are
+taken out of the self times, so the summed self times estimate the time
+the same calls take untraced.  What the calibration misses stays in the
+self times; the traced run measures it against the untraced wall.
 """
 
 from __future__ import annotations
@@ -87,7 +95,13 @@ def originals() -> dict[str, object]:
 class SpanTracer:
     """Install with ``with tracer:``; read :meth:`metrics` afterwards."""
 
-    def __init__(self) -> None:
+    def __init__(self, hidden_s: float | None = None, bias_s: float = 0.0) -> None:
+        if hidden_s is None:
+            hidden_s, bias_s = calibrate()
+        #: Per wrapped call: wrapper cost outside its own clocks, and
+        #: clock cost inside the timed span (see :func:`calibrate`).
+        self.hidden_s = hidden_s
+        self.bias_s = bias_s
         self.spans: dict[tuple[str | None, str], list] = {}
         self.counts: defaultdict[str, int] = defaultdict(int)
         self._stack: list[list] = []
@@ -185,11 +199,20 @@ class SpanTracer:
     def _wrap(self, name: str, before, after) -> None:
         cls, attr = resolve(name)
         original = cls.__dict__[attr]
+        wrapper = self.wrapper(name, original, before, after)
+        setattr(cls, attr, wrapper)
+        self._installed.append((cls, attr, original, wrapper))
+
+    def wrapper(self, name: str, original, before=None, after=None):
+        """A timing wrapper around ``original`` that books its span."""
         stack = self._stack
         spans = self.spans
         clock = time.perf_counter
+        hidden = self.hidden_s
+        bias = self.bias_s
 
         def wrapper(obj, *args, **kwargs):
+            entry = clock()
             state = before(obj) if before is not None else None
             parent = stack[-1] if stack else None
             frame = [name, 0.0]
@@ -201,21 +224,23 @@ class SpanTracer:
                 duration = clock() - start
                 stack.pop()
                 key = (parent[0] if parent is not None else None, name)
-                entry = spans.get(key)
-                if entry is None:
-                    entry = spans[key] = [0, 0.0, 0.0]
-                entry[0] += 1
-                entry[1] += duration
-                entry[2] += duration - frame[1]
-                if parent is not None:
-                    parent[1] += duration
+                row = spans.get(key)
+                if row is None:
+                    row = spans[key] = [0, 0.0, 0.0, 0.0]
+                row[0] += 1
+                row[1] += duration
+                row[2] += duration - frame[1] - bias
             if after is not None:
                 after(obj, state, result)
+            # Everything this call cost the caller, measured plus hidden.
+            gross = clock() - entry + hidden
+            row[3] += gross - duration + bias
+            if parent is not None:
+                parent[1] += gross
             return result
 
         wrapper.__wrapped__ = original
-        setattr(cls, attr, wrapper)
-        self._installed.append((cls, attr, original, wrapper))
+        return wrapper
 
     # -- results --------------------------------------------------------
 
@@ -257,18 +282,84 @@ class SpanTracer:
         return values
 
     def accounted_s(self) -> float:
-        """Total self time of every span: the time inside wrapped calls."""
+        """Total self time of every span: the time the wrapped calls
+        would take untraced."""
         return sum(entry[2] for entry in self.spans.values())
+
+    def wrapper_s(self) -> float:
+        """Total estimated cost of the wrappers themselves."""
+        return sum(entry[3] for entry in self.spans.values())
 
     def write(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         rows = [
             {"parent": parent, "name": name, "calls": calls, "total_s": total,
-             "self_s": own}
-            for (parent, name), (calls, total, own) in sorted(
+             "self_s": own, "wrapper_s": cost}
+            for (parent, name), (calls, total, own, cost) in sorted(
                 self.spans.items(), key=lambda item: -item[1][2]
             )
         ]
-        path.write_text(
-            json.dumps({"spans": rows, "counts": dict(self.counts)}, indent=1) + "\n"
-        )
+        table = {
+            "spans": rows,
+            "counts": dict(self.counts),
+            "calibration": {"hidden_s": self.hidden_s, "bias_s": self.bias_s},
+        }
+        path.write_text(json.dumps(table, indent=1) + "\n")
+
+
+class _Probe:
+    def noop(self) -> None:
+        return None
+
+
+def calibrate(calls: int = 50_000, repeats: int = 7) -> tuple[float, float]:
+    """``(hidden_s, bias_s)`` per wrapped call, from a wrapped no-op.
+
+    ``hidden_s`` is what a wrapper call costs its caller beyond what
+    the wrapper's own clocks measure (the extra call frame, argument
+    packing, the outer halves of the entry and exit clock calls).
+    ``bias_s`` is the clock cost that falls inside a timed span beyond
+    the call it times.  Each loop is timed ``repeats`` times and the
+    fastest kept, which is the least disturbed by the host.
+    """
+    probe = _Probe()
+    clock = time.perf_counter
+
+    def per_call(body) -> float:
+        best = float("inf")
+        for _ in range(repeats):
+            start = clock()
+            body()
+            best = min(best, (clock() - start) / calls)
+        return best
+
+    def empty() -> None:
+        for _ in range(calls):
+            pass
+
+    def call() -> None:
+        for _ in range(calls):
+            probe.noop()
+
+    loop = per_call(empty)
+    plain = per_call(call)
+    tracer = SpanTracer(hidden_s=0.0)
+    tracer._stack.append(["calibrate", 0.0])  # nested, like every real span
+    original = _Probe.__dict__["noop"]
+    _Probe.noop = tracer.wrapper("noop", original)
+    try:
+        best = float("inf")
+        for _ in range(repeats):
+            tracer.spans.clear()
+            start = clock()
+            call()
+            wrapped = (clock() - start) / calls
+            if wrapped < best:
+                best = wrapped
+                calls_, total, _own, cost = tracer.spans[("calibrate", "noop")]
+                duration, measured = total / calls_, (total + cost) / calls_
+    finally:
+        _Probe.noop = original
+    hidden = max(best - loop - measured, 0.0)
+    bias = max(duration - (plain - loop), 0.0)
+    return hidden, bias
