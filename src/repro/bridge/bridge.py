@@ -3,10 +3,10 @@
 :class:`BridgeMaster` lives on the master core: it assigns sequence ids,
 encodes requests, posts them to the command mailbox and collects replies
 from the reply mailbox.  :class:`SlaveBridgeAdapter` wraps the pCore
-kernel into a :class:`repro.sim.soc.Core`: each step it moves arrived
-commands into the kernel inbox, steps the kernel, and flushes kernel
-replies back through the reply mailbox (retrying when that mailbox is
-full).
+kernel into a :class:`repro.sim.soc.Core`: each step it flushes the
+kernel's reply outbox through the reply mailbox (a reply the full
+mailbox refuses stays queued for the next step), moves arrived commands
+into the kernel inbox, and steps the kernel.
 
 When the slave kernel panics, outstanding and future commands never get
 replies — the silence the bug detector's crash monitor keys on.
@@ -14,7 +14,6 @@ replies — the silence the bug detector's crash monitor keys on.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import BridgeError
@@ -113,22 +112,19 @@ class SlaveBridgeAdapter:
     #: kernel inbox holds this many requests, so backpressure reaches
     #: the hardware FIFO instead of hiding in an unbounded list.
     inbox_limit: int = 2
-    #: Replies the reply mailbox refused; retried next step.
-    _reply_backlog: deque[ServiceResult] = field(default_factory=deque)
     delivered: int = 0
     now: int = 0
-
-    def __post_init__(self) -> None:
-        self.kernel.reply_handler = self._on_kernel_reply
 
     def is_halted(self) -> bool:
         return self.kernel.is_halted()
 
     def step(self, now: int) -> bool:
         self.now = now
-        worked = self._flush_replies()
-        worked |= self._poll_commands()
-        worked |= self.kernel.step(now)
+        kernel = self.kernel
+        worked = self._flush_replies() if kernel.outbox else False
+        if self.command_box:
+            worked |= self._poll_commands()
+        worked |= kernel.step(now)
         return worked
 
     # -- internals -----------------------------------------------------------
@@ -152,18 +148,16 @@ class SlaveBridgeAdapter:
             moved = True
         return moved
 
-    def _on_kernel_reply(self, result: ServiceResult) -> None:
-        self._reply_backlog.append(result)
-
     def _flush_replies(self) -> bool:
+        outbox = self.kernel.outbox
         flushed = False
-        while self._reply_backlog:
-            result = self._reply_backlog[0]
+        while outbox:
+            result = outbox[0]
             word = encode_result(result, result.request.sequence or 0)
             message = MailboxMessage(word=word, payload=result, sent_at=self.now)
             if not self.reply_box.post(message):
                 break
-            self._reply_backlog.popleft()
+            outbox.popleft()
             flushed = True
         return flushed
 

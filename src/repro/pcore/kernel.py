@@ -10,6 +10,10 @@ Each :meth:`PCoreKernel.step` performs (in order):
 4. dispatch and execute one scheduling step of the highest-priority
    READY task.
 
+Replies to remote requests queue on :attr:`PCoreKernel.outbox`, which
+the bridge adapter drains; the kernel holds no reference back to the
+bridge, so a finished run is plain (acyclic) garbage.
+
 Crash semantics (test case 1): pCore sizes its internal memory so that
 ``max_tasks`` TCBs and stacks always fit.  If an allocation fails while
 the live-task count is under the limit, the kernel's accounting has been
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.errors import KernelError
 from repro.pcore.memory import (
@@ -112,7 +115,6 @@ class PCoreKernel:
     name: str = "pcore"
     tracer: Tracer | None = None
     shared_memory: SharedMemory | None = None
-    reply_handler: Callable[[ServiceResult], None] | None = None
 
     tasks: dict[int, TaskControlBlock] = field(default_factory=dict)
     resources: dict[str, SyncObject] = field(default_factory=dict)
@@ -122,6 +124,8 @@ class PCoreKernel:
     memory: KernelMemory = field(init=False)
     gc: GarbageCollector = field(init=False)
     inbox: deque[ServiceRequest] = field(default_factory=deque)
+    #: Replies not yet taken by the bridge (drained by the adapter).
+    outbox: deque[ServiceResult] = field(default_factory=deque)
     completed: list[ServiceResult] = field(default_factory=list)
 
     panic_reason: str | None = None
@@ -131,6 +135,10 @@ class PCoreKernel:
     now: int = 0
     #: Remaining dispatcher-switch penalty steps (context_switch_cost).
     _switch_penalty: int = 0
+    #: Lower bound on every sleeper's ``wakeup_at`` (``None``: nobody
+    #: sleeps).  Lowered by ``Sleep``, made exact by each scan; a stale
+    #: early bound only costs one scan that wakes nobody.
+    _next_wakeup: int | None = None
     _last_dispatched: int | None = None
     context_switches: int = 0
     _programs: dict[str, TaskProgram] = field(default_factory=dict)
@@ -164,16 +172,49 @@ class PCoreKernel:
         self._trace(CATEGORY_KERNEL, event="panic", reason=reason)
 
     def step(self, now: int) -> bool:
-        """One kernel scheduling step (see module docstring)."""
-        if self.is_halted():
+        """One kernel scheduling step (see module docstring).
+
+        Most steps only burn one unit of the running task's ``Compute``.
+        Such a step returns early, touching exactly the counters the
+        full step would (``steps``, the task's ``steps_run``,
+        ``last_progress`` and ``compute_remaining``), when all of these
+        hold:
+
+        * the scheduler's current task is RUNNING with
+          ``compute_remaining > 0``;
+        * the inbox is empty and no context-switch penalty is pending;
+        * no sleeper is due;
+        * no garbage collection with pending garbage falls on this step;
+        * no READY task outranks the running one (``should_preempt``).
+        """
+        if self.panic_reason is not None:
             return False
         self.now = now
         self.steps += 1
+        gc_interval = self.config.gc_interval
+        gc_due = gc_interval and self.steps % gc_interval == 0
+        wake_due = self._next_wakeup is not None and self._next_wakeup <= now
+        current = self.scheduler.current
+        if (
+            current is not None
+            and current.compute_remaining > 0
+            and current.state is TaskState.RUNNING
+            and not self.inbox
+            and not self._switch_penalty
+            and not wake_due
+            and not (gc_due and self.gc.pending)
+            and not self.scheduler.should_preempt()
+        ):
+            current.steps_run += 1
+            current.last_progress = now
+            current.compute_remaining -= 1
+            return True
         try:
-            self._wake_sleepers()
-            if self.config.gc_interval and self.steps % self.config.gc_interval == 0:
+            if wake_due:
+                self._wake_sleepers()
+            if gc_due:
                 self.gc.collect()
-            worked = self._process_one_request()
+            worked = self._process_one_request() if self.inbox else False
             worked |= self._run_one_task_step()
         except KernelError as error:
             # An internal invariant broke: that *is* a kernel crash.
@@ -198,12 +239,9 @@ class PCoreKernel:
             status=result.status.value,
             value=result.value,
         )
-        if self.reply_handler is not None:
-            self.reply_handler(result)
+        self.outbox.append(result)
 
     def _process_one_request(self) -> bool:
-        if not self.inbox:
-            return False
         request = self.inbox.popleft()
         result = self.execute_service(request)
         self._reply(result)
@@ -215,15 +253,7 @@ class PCoreKernel:
         """Validate and apply one Table I service."""
         if self.is_halted():
             return self._result(request, ServiceStatus.KERNEL_DOWN)
-        handlers = {
-            ServiceCode.TC: self._svc_create,
-            ServiceCode.TD: self._svc_delete,
-            ServiceCode.TS: self._svc_suspend,
-            ServiceCode.TR: self._svc_resume,
-            ServiceCode.TCH: self._svc_chanprio,
-            ServiceCode.TY: self._svc_yield,
-        }
-        result = handlers[request.service](request)
+        result = _SERVICE_HANDLERS[request.service](self, request)
         self.stats.note(result)
         return result
 
@@ -565,15 +595,17 @@ class PCoreKernel:
         self.scheduler.enqueue(task)
 
     def _wake_sleepers(self) -> None:
+        next_wakeup = None
         for task in self.tasks.values():
-            if (
-                task.state is TaskState.SLEEPING
-                and task.wakeup_at is not None
-                and task.wakeup_at <= self.now
-            ):
+            if task.state is not TaskState.SLEEPING or task.wakeup_at is None:
+                continue
+            if task.wakeup_at <= self.now:
                 task.wakeup_at = None
                 task.transition(TaskState.READY)
                 self.scheduler.enqueue(task)
+            elif next_wakeup is None or task.wakeup_at < next_wakeup:
+                next_wakeup = task.wakeup_at
+        self._next_wakeup = next_wakeup
 
     # -- task execution ----------------------------------------------------
 
@@ -634,6 +666,8 @@ class PCoreKernel:
             self.scheduler.enqueue(task)
         elif isinstance(syscall, Sleep):
             task.wakeup_at = self.now + syscall.ticks
+            if self._next_wakeup is None or task.wakeup_at < self._next_wakeup:
+                self._next_wakeup = task.wakeup_at
             task.transition(TaskState.SLEEPING)
             self.scheduler.yield_current()
         elif isinstance(syscall, Acquire):
@@ -749,3 +783,14 @@ class PCoreKernel:
     def _trace(self, category: str, **payload: object) -> None:
         if self.tracer is not None:
             self.tracer.record(self.now, self.name, category, **payload)
+
+
+#: Table I service code -> handler, resolved once for every kernel.
+_SERVICE_HANDLERS = {
+    ServiceCode.TC: PCoreKernel._svc_create,
+    ServiceCode.TD: PCoreKernel._svc_delete,
+    ServiceCode.TS: PCoreKernel._svc_suspend,
+    ServiceCode.TR: PCoreKernel._svc_resume,
+    ServiceCode.TCH: PCoreKernel._svc_chanprio,
+    ServiceCode.TY: PCoreKernel._svc_yield,
+}

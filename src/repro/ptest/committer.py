@@ -141,6 +141,8 @@ class Committer:
     #: cursor state, never a materialised ``PatternCommand``.
     _stalled_step: tuple[int, str, int] | None = None
     _noise_remaining: int = 0
+    #: Pairs whose ``outstanding_seq`` is set (keeps ``done`` O(1)).
+    _outstanding_pairs: int = 0
     _noise_rng: "random.Random" = field(init=False, repr=False)
     #: Column walk state (``None`` triggers the PatternCommand walk):
     #: the merge's id columns as native-int lists plus the shared
@@ -194,10 +196,7 @@ class Committer:
         if self.cursor < len(self.merged) or self._stalled_request:
             return False
         if self.lockstep:
-            return all(
-                binding.outstanding_seq is None
-                for binding in self.bindings.values()
-            )
+            return not self._outstanding_pairs
         return True
 
     def step(self, now: int) -> bool:
@@ -221,6 +220,7 @@ class Committer:
             binding = self.bindings[pair_id]
             if binding.outstanding_seq == sequence:
                 binding.outstanding_seq = None
+                self._outstanding_pairs -= 1
             binding.completed += 1
             if not result.ok:
                 binding.errors += 1
@@ -257,6 +257,8 @@ class Committer:
         if self.noise_ticks > 0:
             self._noise_remaining = self._noise_rng.randint(0, self.noise_ticks)
         binding = self.bindings[pattern_id]
+        if binding.outstanding_seq is None:
+            self._outstanding_pairs += 1
         binding.outstanding_seq = sequence
         binding.issued += 1
         self.issued += 1

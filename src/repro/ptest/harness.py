@@ -290,6 +290,9 @@ class AdaptiveTest:
                     if kernel.is_halted():
                         detector.sweep(soc.now)
                         break
+                    current = kernel.scheduler.current
+                    if current is not None and current.state is TaskState.RUNNING:
+                        continue  # a RUNNING task is never SUSPENDED
                     if not bridge_master.outstanding and all(
                         task.state is TaskState.SUSPENDED
                         for task in kernel.live_tasks()

@@ -8,6 +8,13 @@ then due timed events fire.  Because every step is an explicit call,
 any interleaving of master and slave activity is a deterministic,
 replayable schedule — the property pTest's merger exploits.
 
+Per-tick contract: one :meth:`DualCoreSoC.step` call is exactly one
+simulated tick, and every tick is stepped — there is no multi-tick
+skip, and each core that is not halted gets its ``step`` call on every
+tick.  Instrumentation relies on this: wrappers around ``step`` count
+ticks and classify each one.  Speed comes from making an uneventful
+tick cheap in every layer, never from skipping it.
+
 Defaults model the OMAP5912 OSK of the paper's evaluation: both cores at
 192 MHz (1:1 step ratio), four mailboxes, 250 KB shared SRAM.
 """
@@ -103,15 +110,18 @@ class DualCoreSoC:
 
     def step(self) -> bool:
         """Advance one tick; returns ``True`` if either core did work."""
-        if self.master is None or self.slave is None:
+        master, slave = self.master, self.slave
+        if master is None or slave is None:
             raise SimulationError("cores not attached; call attach() first")
+        config = self.config
+        now = self.clock.now
         worked = False
-        for _ in range(self.config.master_steps_per_tick):
-            if not self.master.is_halted():
-                worked |= self.master.step(self.clock.now)
-        for _ in range(self.config.slave_steps_per_tick):
-            if not self.slave.is_halted():
-                worked |= self.slave.step(self.clock.now)
+        for _ in range(config.master_steps_per_tick):
+            if not master.is_halted():
+                worked |= master.step(now)
+        for _ in range(config.slave_steps_per_tick):
+            if not slave.is_halted():
+                worked |= slave.step(now)
         self.clock.advance(1)
         self.scheduler.fire_due()
         self.ticks_run += 1

@@ -166,11 +166,11 @@ class TestBridgeEndpoints:
         while reply_box.post(MailboxMessage(word=0, payload=None)):
             pass
         # Note: poll() will raise on the junk payloads, so drain manually
-        # after the kernel has queued its reply in the adapter backlog.
+        # after the kernel's reply is left queued in its outbox.
         seq = master.issue(ServiceRequest(service=ServiceCode.TC, priority=1))
         for tick in range(4):
             slave.step(tick)
-        assert len(slave._reply_backlog) == 1
+        assert len(kernel.outbox) == 1
         list(reply_box.drain())
         slave.step(5)
         replies = master.pump()
