@@ -55,29 +55,22 @@ import os
 import platform
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.automata.batch import BatchSampler, numpy_or_none
 from repro.automata.reference import LegacySampler, networkx_cycle_tids
 from repro.automata.sampling import PatternSampler
 from repro.pcore.kernel import KernelConfig, PCoreKernel
 from repro.pcore.programs import Acquire, Compute, Exit
-from repro.pcore.services import ServiceCode, ServiceResult, ServiceStatus
+from repro.pcore.services import ServiceCode
 from repro.pcore.testkit import create_task, run_service
 from repro.ptest.campaign import Campaign
 from repro.ptest.chaos import ChaosSpec
-from repro.ptest.committer import Committer
 from repro.ptest.executor import CellExecutor, WorkCell
-from repro.ptest.merger import PatternMerger
-from repro.ptest.patterns import MergedPattern, TestPattern
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.pool import WorkerPool, shutdown_pools
-from repro.ptest.recording import ProcessStateRecorder
 from repro.ptest.waitgraph import IncrementalWaitForGraph
-from repro.sim.trace import Tracer
 from repro.workloads.registry import scenario_ref
 
 OUT_PATH = Path(__file__).parent / "out" / "bench_perf_hotpaths.json"
@@ -126,486 +119,6 @@ def bench_sampling(quick: bool) -> dict:
         "compiled_patterns_per_sec": round(compiled, 1),
         "speedup": round(compiled / legacy, 2),
     }
-
-
-# -- layer 1b: batched sampling ------------------------------------------------
-
-
-def bench_sampling_batch(quick: bool) -> dict:
-    """Scalar per-cell walks vs one vectorized lockstep batch.
-
-    The baseline is the *compiled* scalar path (layer 1's winner): N
-    independent ``PatternSampler(seed=...)`` walks.  The batch draws
-    the same N patterns in one ``BatchSampler.sample`` call.  Restart
-    mode, 100 symbols, 4096 cells — the vectorized win grows with
-    batch width, and per-cell fixed costs dominate below ~1k cells, so
-    quick mode keeps the full width and trims repetitions instead.
-    Multi-word seeds route every cell through the ``RandomState`` fast
-    path, which is what campaign-scale sha256-derived seeds look like.
-    Each rep makes one *untimed* warm-up draw per path before the timed
-    draw: the batch path's first call fills its per-cell draw-block
-    buffers (a one-time cost a campaign amortises over its many draws
-    per cell), so the timed call is the steady state both paths run at
-    campaign scale.  Bit-identity is asserted over warm-up and timed
-    draws alike.  The reported speedup is the best *paired* ratio —
-    each rep times the two paths back to back and the ratio is taken
-    within the rep — because on a busy single-core box load drift is
-    time-correlated, and cross-rep ratios (best batch over best
-    scalar from different moments) mix load conditions the paired
-    measurement cancels.
-    """
-    pfa = pcore_pfa()
-    size = 100
-    cells = 4096
-    reps = 5 if quick else 8
-    seeds = [(1 << 40) + 977 * index for index in range(cells)]
-    skipped_numpy = numpy_or_none() is None
-
-    best_ratio = 0.0
-    scalar_rate = batch_rate = 0.0
-    for _ in range(reps):
-        samplers = [
-            PatternSampler(pfa, seed=seed, on_final="restart")
-            for seed in seeds
-        ]
-        scalar_warm = [sampler.sample(size) for sampler in samplers]
-        start = time.perf_counter()
-        scalar_patterns = [sampler.sample(size) for sampler in samplers]
-        scalar_elapsed = time.perf_counter() - start
-        batch = BatchSampler(pfa, seeds, on_final="restart")
-        batch_warm = batch.sample(size)
-        start = time.perf_counter()
-        batch_patterns = batch.sample(size)
-        batch_elapsed = time.perf_counter() - start
-        # Correctness guard: both draws of the whole batch must be
-        # bit-identical to the scalar walks.
-        assert batch_warm == scalar_warm, (
-            "batch sampling diverged from the scalar walks (draw 1)"
-        )
-        assert batch_patterns == scalar_patterns, (
-            "batch sampling diverged from the scalar walks (draw 2)"
-        )
-        if scalar_elapsed / batch_elapsed > best_ratio:
-            best_ratio = scalar_elapsed / batch_elapsed
-            scalar_rate = cells / scalar_elapsed
-            batch_rate = cells / batch_elapsed
-    return {
-        "pattern_size": size,
-        "cells": cells,
-        "scalar_patterns_per_sec": round(scalar_rate, 1),
-        "batch_patterns_per_sec": round(batch_rate, 1),
-        "speedup": round(best_ratio, 2),
-        # Without numpy the batch *is* the scalar loop (bit-identical
-        # fallback) — the ratio is meaningless, so the CI floor skips,
-        # mirroring the skipped_parallel_floor convention.
-        "skipped_numpy": skipped_numpy,
-    }
-
-
-# -- layer 1c: array-plane sample→merge ----------------------------------------
-
-
-def bench_merge_batch(quick: bool) -> dict:
-    """Eager scalar sample→merge vs the end-to-end array plane.
-
-    The tentpole claim of the array-native pattern plane: a campaign
-    cell's whole sample→merge round trip — draw ``per_cell`` patterns,
-    wrap them as ``TestPattern``\\ s, interleave them with a seeded
-    :class:`PatternMerger` — without materialising per-symbol Python
-    objects.  The scalar leg is the pre-array pipeline (per-cell
-    ``PatternSampler`` walks, eager tuples, ``use_numpy=False``
-    merging into eager ``PatternCommand`` lists); the array leg draws
-    ``BatchSampler.sample_batch`` id arrays, wraps rows via
-    ``TestPattern.from_ids`` and merges through the vectorized gather,
-    with command materialisation deferred (and excluded from the timed
-    window — the committer pays it later, round-robin of the saving).
-    Both legs run through :meth:`PatternMerger.merge_batch`.
-
-    As in the other paired sections: one untimed warm-up pass per leg
-    per rep (fills draw-block buffers; continues both legs' RNG
-    streams identically), the reported speedup is the best *paired*
-    within-rep ratio, and bit-identity of warm-up and timed outputs —
-    commands, op, sources — is asserted outside the timed windows.
-    """
-    pfa = pcore_pfa()
-    size = 100
-    cells = 512 if quick else 1024
-    per_cell = 4
-    reps = 3 if quick else 5
-    op, chunk, merge_seed = "cyclic", 3, 1234
-    seeds = [(1 << 41) + 1313 * index for index in range(cells)]
-    skipped_numpy = numpy_or_none() is None
-
-    def scalar_pass(samplers, merger) -> list:
-        groups = []
-        for sampler in samplers:
-            group = []
-            for pattern_id in range(per_cell):
-                drawn = sampler.sample(size)
-                group.append(
-                    TestPattern(
-                        pattern_id=pattern_id,
-                        symbols=drawn.symbols,
-                        states=drawn.states,
-                        log_probability=drawn.log_probability,
-                    )
-                )
-            groups.append(group)
-        return merger.merge_batch(groups)
-
-    def array_pass(batch_sampler, merger) -> list:
-        draws = [batch_sampler.sample_batch(size) for _ in range(per_cell)]
-        groups = []
-        for cell in range(cells):
-            group = []
-            for pattern_id, batch in enumerate(draws):
-                row = batch.row(cell)
-                if row is None:
-                    # No-numpy fallback: materialised patterns.
-                    drawn = batch.pattern(cell)
-                    group.append(
-                        TestPattern(
-                            pattern_id=pattern_id,
-                            symbols=drawn.symbols,
-                            states=drawn.states,
-                            log_probability=drawn.log_probability,
-                        )
-                    )
-                else:
-                    group.append(
-                        TestPattern.from_ids(
-                            pattern_id=pattern_id,
-                            symbol_ids=row.symbol_ids,
-                            alphabet=row.alphabet,
-                            state_ids=row.state_ids,
-                            log_probability=row.log_probability,
-                        )
-                    )
-            groups.append(group)
-        return merger.merge_batch(groups)
-
-    best_ratio = 0.0
-    scalar_rate = array_rate = 0.0
-    for _ in range(reps):
-        samplers = [
-            PatternSampler(pfa, seed=seed, on_final="restart")
-            for seed in seeds
-        ]
-        scalar_merger = PatternMerger(
-            op=op, seed=merge_seed, chunk=chunk, use_numpy=False
-        )
-        scalar_warm = scalar_pass(samplers, scalar_merger)
-        start = time.perf_counter()
-        scalar_merged = scalar_pass(samplers, scalar_merger)
-        scalar_elapsed = time.perf_counter() - start
-
-        batch_sampler = BatchSampler(pfa, seeds, on_final="restart")
-        array_merger = PatternMerger(op=op, seed=merge_seed, chunk=chunk)
-        array_warm = array_pass(batch_sampler, array_merger)
-        start = time.perf_counter()
-        array_merged = array_pass(batch_sampler, array_merger)
-        array_elapsed = time.perf_counter() - start
-
-        # Correctness guard, outside the timed windows: both passes of
-        # every cell must interleave identically (command lists, op,
-        # source patterns — array-side materialisation happens here).
-        assert array_warm == scalar_warm, (
-            "array sample→merge diverged from the scalar plane (pass 1)"
-        )
-        assert array_merged == scalar_merged, (
-            "array sample→merge diverged from the scalar plane (pass 2)"
-        )
-        if scalar_elapsed / array_elapsed > best_ratio:
-            best_ratio = scalar_elapsed / array_elapsed
-            scalar_rate = cells / scalar_elapsed
-            array_rate = cells / array_elapsed
-    return {
-        "pattern_size": size,
-        "cells": cells,
-        "patterns_per_merge": per_cell,
-        "merge_op": op,
-        "scalar_merges_per_sec": round(scalar_rate, 1),
-        "array_merges_per_sec": round(array_rate, 1),
-        "speedup": round(best_ratio, 2),
-        # Without numpy both legs run the same scalar plane — the
-        # ratio is meaningless, so the CI floor skips (same convention
-        # as sampling_batch).
-        "skipped_numpy": skipped_numpy,
-    }
-
-
-# -- layer 1c: the commit loop -------------------------------------------------
-
-
-class _EchoBridge:
-    """Minimal ``BridgeMaster`` stand-in for timing the commit loop.
-
-    Every issued request is bound a sequence number and answered ``OK``
-    on the *next* :meth:`pump` — the committer pumps before it issues,
-    so replies land one step after issue, modelling the mailbox round
-    trip without the simulated cores in the timed window.  ``TC``
-    replies carry a fresh tid, so pair bindings (task creation, target
-    learning, TD/TY teardown) evolve exactly as in a real run.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0
-        self.outstanding: dict = {}
-        self._inbox: list = []
-        self._next_seq = 1
-        self._next_tid = 1
-
-    def issue(self, request):
-        sequence = self._next_seq
-        self._next_seq += 1
-        # Attach the sequence in place (the real slave stamps it on
-        # decode); cheaper than dataclasses.replace, and the stub's
-        # overhead is identical dead weight in both timed legs.
-        object.__setattr__(request, "sequence", sequence)
-        self.outstanding[sequence] = request
-        self._inbox.append(request)
-        return sequence
-
-    def pump(self) -> list:
-        if not self._inbox:
-            return []
-        arrived = []
-        for bound in self._inbox:
-            value = None
-            if bound.service is ServiceCode.TC:
-                value = self._next_tid
-                self._next_tid += 1
-            del self.outstanding[bound.sequence]
-            arrived.append(
-                ServiceResult(
-                    request=bound,
-                    status=ServiceStatus.OK,
-                    value=value,
-                    completed_at=self.now,
-                )
-            )
-        self._inbox = []
-        return arrived
-
-
-def bench_commit_loop(quick: bool) -> dict:
-    """PatternCommand-expansion commit walk vs the column walk.
-
-    The consumer half of the array plane: an array-built
-    :class:`MergedPattern` reaches the committer as id columns, and the
-    column walk executes it by cursor — one bulk ``tolist()`` at
-    construction, list indexing per step, symbol→service resolved once
-    per alphabet — without ever creating a ``PatternCommand``.  The
-    scalar leg is the bit-identical fallback the committer keeps for
-    eager merges (the only kind the no-numpy merger produces): expand
-    the same merge's command list, then walk it per-command.  The
-    expansion is timed with the walk because that is what executing an
-    eager merge costs each round; both legs then drive the same echo
-    bridge (replies next step, fresh tids on TC), so the measured
-    difference is exactly the commit loop's per-command overhead.
-
-    Conventions as elsewhere: per rep both legs walk freshly-built but
-    identically-seeded merges, the reported speedup is the best paired
-    within-rep ratio, and bit-identity — results, state records, traces
-    — is asserted outside the timed windows, where the column leg must
-    also finish with ``commands`` still unmaterialised.
-    """
-    pfa = pcore_pfa()
-    size = 100
-    per_merge = 8
-    merges = 20 if quick else 60
-    # More reps than the other sections: the per-command delta this
-    # measures is small enough that scheduler noise in one window can
-    # swallow it, and the best-paired-ratio estimator only stabilises
-    # upward with extra samples.
-    reps = 6 if quick else 8
-    op, chunk, merge_seed = "cyclic", 3, 99
-    skipped_numpy = numpy_or_none() is None
-
-    def build(slot: int) -> MergedPattern:
-        """One merge per call — array-built with numpy, eager without
-        (both legs then walk the same eager plane and the floor skips)."""
-        seeds = [(1 << 40) + 7919 * slot + index for index in range(per_merge)]
-        batch = BatchSampler(pfa, seeds, on_final="restart").sample_batch(size)
-        patterns = []
-        for pattern_id in range(per_merge):
-            row = batch.row(pattern_id)
-            if row is None:
-                drawn = batch.pattern(pattern_id)
-                patterns.append(
-                    TestPattern(
-                        pattern_id=pattern_id,
-                        symbols=drawn.symbols,
-                        states=drawn.states,
-                        log_probability=drawn.log_probability,
-                    )
-                )
-            else:
-                patterns.append(
-                    TestPattern.from_ids(
-                        pattern_id=pattern_id,
-                        symbol_ids=row.symbol_ids,
-                        alphabet=row.alphabet,
-                        state_ids=row.state_ids,
-                        log_probability=row.log_probability,
-                    )
-                )
-        merger = PatternMerger(op=op, seed=merge_seed, chunk=chunk)
-        return merger.merge(patterns)
-
-    def drive(merged, recorder=None, tracer=None) -> Committer:
-        committer = Committer(
-            bridge=_EchoBridge(),
-            merged=merged,
-            recorder=recorder,
-            tracer=tracer,
-            lockstep=False,
-        )
-        now = 0
-        while not committer.is_halted():
-            committer.step(now)
-            now += 1
-        return committer
-
-    total_commands = 0
-    best_ratio = 0.0
-    scalar_rate = column_rate = 0.0
-    for _ in range(reps):
-        scalar_src = [build(slot) for slot in range(merges)]
-        column_src = [build(slot) for slot in range(merges)]
-        total_commands = sum(len(merged) for merged in column_src)
-
-        start = time.perf_counter()
-        for merged in scalar_src:
-            # The fallback plane: command expansion + per-command walk.
-            eager = MergedPattern(
-                commands=merged.commands, op=merged.op, sources=merged.sources
-            )
-            drive(eager)
-        scalar_elapsed = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for merged in column_src:
-            drive(merged)
-        column_elapsed = time.perf_counter() - start
-
-        if scalar_elapsed / column_elapsed > best_ratio:
-            best_ratio = scalar_elapsed / column_elapsed
-            scalar_rate = total_commands / scalar_elapsed
-            column_rate = total_commands / column_elapsed
-
-    # Correctness guard, outside the timed windows: one fresh pair of
-    # identically-seeded merges, full observability on — results,
-    # Definition-2 records and traces must match command for command,
-    # and the column leg must never have expanded its command list.
-    column_merged = build(0)
-    eager_merged = build(0)
-    eager_merged = MergedPattern(
-        commands=eager_merged.commands,
-        op=eager_merged.op,
-        sources=eager_merged.sources,
-    )
-    scalar_recorder, column_recorder = (
-        ProcessStateRecorder(),
-        ProcessStateRecorder(),
-    )
-    scalar_tracer, column_tracer = Tracer(), Tracer()
-    scalar_run = drive(eager_merged, scalar_recorder, scalar_tracer)
-    column_run = drive(column_merged, column_recorder, column_tracer)
-    assert column_run.results == scalar_run.results, (
-        "column commit loop diverged from the PatternCommand walk"
-    )
-    assert column_run.issued == scalar_run.issued
-    assert column_recorder.snapshot() == scalar_recorder.snapshot(), (
-        "column commit loop recorded different Definition-2 state"
-    )
-    assert column_tracer.dump() == scalar_tracer.dump(), (
-        "column commit loop traced differently"
-    )
-    if not skipped_numpy:
-        assert column_merged._commands is None, (
-            "column walk materialised the command list"
-        )
-    return {
-        "pattern_size": size,
-        "patterns_per_merge": per_merge,
-        "merges": merges,
-        "commands_timed": total_commands,
-        "merge_op": op,
-        "scalar_commands_per_sec": round(scalar_rate, 1),
-        "column_commands_per_sec": round(column_rate, 1),
-        "speedup": round(best_ratio, 2),
-        # Without numpy both legs walk the same eager plane — the
-        # ratio is meaningless, so the CI floor skips (same convention
-        # as sampling_batch/merge_batch).
-        "skipped_numpy": skipped_numpy,
-    }
-
-
-def _traced_peak_kib(task) -> float:
-    """Peak tracemalloc allocation of ``task()``, in KiB."""
-    tracemalloc.start()
-    try:
-        task()
-    finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    return round(peak / 1024.0, 1)
-
-
-def _sampling_batch_memory_pass() -> None:
-    """One steady-state materialised batch draw (the sampling_batch
-    shape at reduced width): what a campaign round allocates per
-    lockstep draw, slotted patterns included."""
-    pfa = pcore_pfa()
-    seeds = [(1 << 40) + 977 * index for index in range(1024)]
-    sampler = BatchSampler(pfa, seeds, on_final="restart")
-    sampler.sample(100)  # warm-up fills the draw-block buffers
-    sampler.sample(100)
-
-
-def _merge_batch_memory_pass() -> None:
-    """One steady-state array sample→merge pass (the merge_batch shape
-    at reduced width), commands left unmaterialised — the allocation
-    profile of the end-to-end array plane."""
-    pfa = pcore_pfa()
-    cells = 256
-    seeds = [(1 << 41) + 1313 * index for index in range(cells)]
-    sampler = BatchSampler(pfa, seeds, on_final="restart")
-    merger = PatternMerger(op="cyclic", seed=1234, chunk=3)
-
-    def one_pass() -> None:
-        draws = [sampler.sample_batch(100) for _ in range(4)]
-        groups = []
-        for cell in range(cells):
-            group = []
-            for pattern_id, batch in enumerate(draws):
-                row = batch.row(cell)
-                if row is None:
-                    drawn = batch.pattern(cell)
-                    group.append(
-                        TestPattern(
-                            pattern_id=pattern_id,
-                            symbols=drawn.symbols,
-                            states=drawn.states,
-                            log_probability=drawn.log_probability,
-                        )
-                    )
-                else:
-                    group.append(
-                        TestPattern.from_ids(
-                            pattern_id=pattern_id,
-                            symbol_ids=row.symbol_ids,
-                            alphabet=row.alphabet,
-                            state_ids=row.state_ids,
-                            log_probability=row.log_probability,
-                        )
-                    )
-            groups.append(group)
-        merger.merge_batch(groups)
-
-    one_pass()  # warm-up
-    one_pass()
 
 
 # -- layer 2: campaigns --------------------------------------------------------
@@ -1236,69 +749,6 @@ def bench_detector(quick: bool) -> dict:
     }
 
 
-# -- layer 3b: batched detection -----------------------------------------------
-
-
-def bench_detector_batch(quick: bool) -> dict:
-    """Per-snapshot cycle search vs one batched screen-and-confirm.
-
-    The workload models a campaign audit: ~1000 recorded wait-graph
-    snapshots, most of them acyclic (chains and fans of various sizes),
-    a few percent holding the real deadlock cycle captured from a
-    wedged kernel.  The baseline runs the scalar
-    :func:`find_cycle_edges` per snapshot; the batch path screens all
-    snapshots with one vectorized Kahn peel and confirms only the
-    cyclic survivors through the very same scalar search.
-    """
-    from repro.ptest.batchdetect import find_cycles_batch
-    from repro.ptest.waitgraph import find_cycle_edges
-
-    kernel = _deadlocked_kernel()
-    cycle_edges = tuple(
-        (waiter, owner) for waiter, owner, _ in kernel.wait_for_edges()
-    )
-    snapshots: list[tuple[tuple[int, int], ...]] = []
-    for index in range(1_000):
-        if index % 20 == 0:  # 5% cyclic, like a detecting campaign
-            snapshots.append(cycle_edges)
-        else:  # acyclic chain + fan, varying size and node ids
-            base = index % 7
-            chain = [
-                (base + hop, base + hop + 1) for hop in range(2 + index % 5)
-            ]
-            chain.extend((base, base + 10 + hop) for hop in range(index % 3))
-            snapshots.append(tuple(chain))
-    reps = 3 if quick else 6
-    skipped_numpy = numpy_or_none() is None
-
-    scalar_best = batch_best = 0.0
-    scalar_cycles = batch_cycles = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        scalar_cycles = [find_cycle_edges(edges) for edges in snapshots]
-        scalar_best = max(
-            scalar_best, len(snapshots) / (time.perf_counter() - start)
-        )
-        start = time.perf_counter()
-        batch_cycles = find_cycles_batch(snapshots)
-        batch_best = max(
-            batch_best, len(snapshots) / (time.perf_counter() - start)
-        )
-    # Correctness guard: same first cycle (edge order included) per
-    # snapshot — the screen is exact and the confirm is the baseline.
-    assert batch_cycles == scalar_cycles, (
-        "batched cycle detection diverged from the per-snapshot search"
-    )
-    return {
-        "snapshots": len(snapshots),
-        "cyclic_snapshots": sum(1 for c in scalar_cycles if c),
-        "scalar_snapshots_per_sec": round(scalar_best, 1),
-        "batch_snapshots_per_sec": round(batch_best, 1),
-        "speedup": round(batch_best / scalar_best, 2),
-        "skipped_numpy": skipped_numpy,
-    }
-
-
 # -- entry point ---------------------------------------------------------------
 
 
@@ -1330,24 +780,8 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
-            # None = absent or disabled via REPRO_NO_NUMPY; the batch
-            # sections fall back to scalar (and skip their floors) then.
-            "numpy": getattr(numpy_or_none(), "__version__", None),
-            # Peak allocation (KiB) of one representative batch-path
-            # pass per array-plane section — the memory half of the
-            # slots/array-backing story; honest in no-numpy mode too
-            # (the passes then profile the scalar fallback).
-            "tracemalloc_peak_kib": {
-                "sampling_batch": _traced_peak_kib(
-                    _sampling_batch_memory_pass
-                ),
-                "merge_batch": _traced_peak_kib(_merge_batch_memory_pass),
-            },
         },
         "sampling": bench_sampling(args.quick),
-        "sampling_batch": bench_sampling_batch(args.quick),
-        "merge_batch": bench_merge_batch(args.quick),
-        "commit_loop": bench_commit_loop(args.quick),
         "campaign": bench_campaign(args.quick, args.workers),
         "campaign_batched": bench_campaign_batched(args.quick, args.workers),
         "faults": bench_faults(args.quick, args.workers),
@@ -1356,7 +790,6 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline": bench_pipeline(args.quick, args.workers),
         "serve": bench_serve(args.quick, args.workers),
         "detector": bench_detector(args.quick),
-        "detector_batch": bench_detector_batch(args.quick),
     }
     single_core = os.cpu_count() == 1
     # Targets are the PR-1 acceptance goals; floors are what CI
@@ -1366,31 +799,6 @@ def main(argv: list[str] | None = None) -> int:
         "sampling_speedup_target": 5.0,
         "sampling_speedup_met": results["sampling"]["speedup"] >= 5.0,
         "sampling_ci_floor": 3.0,
-        # The batch tier stacks on the compiled scalar path; without
-        # numpy it degenerates (bit-identically) to that path, so the
-        # floor skips there — like skipped_parallel_floor on one core.
-        "sampling_batch_ci_floor": 2.0,
-        "sampling_batch_floor_met": (
-            None
-            if results["sampling_batch"]["skipped_numpy"]
-            else results["sampling_batch"]["speedup"] >= 2.0
-        ),
-        # The array plane's end-to-end claim: sample→merge without
-        # per-symbol Python objects must beat the eager pipeline.
-        "merge_batch_ci_floor": 1.5,
-        "merge_batch_floor_met": (
-            None
-            if results["merge_batch"]["skipped_numpy"]
-            else results["merge_batch"]["speedup"] >= 1.5
-        ),
-        # The consumer half of that claim: executing an array merge by
-        # cursor must beat expanding and walking its command list.
-        "commit_loop_ci_floor": 1.3,
-        "commit_loop_floor_met": (
-            None
-            if results["commit_loop"]["skipped_numpy"]
-            else results["commit_loop"]["speedup"] >= 1.3
-        ),
         "campaign_speedup_target": 2.0,
         "campaign_speedup_met": (
             None
@@ -1455,12 +863,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "detector_ci_floor": 5.0,
         "detector_floor_met": results["detector"]["speedup"] >= 5.0,
-        "detector_batch_ci_floor": 1.5,
-        "detector_batch_floor_met": (
-            None
-            if results["detector_batch"]["skipped_numpy"]
-            else results["detector_batch"]["speedup"] >= 1.5
-        ),
         "note": (
             "campaign/pool speedups need >= workers physical cores; "
             f"this machine has {os.cpu_count()}"
@@ -1564,54 +966,6 @@ def main(argv: list[str] | None = None) -> int:
         f"detector:  {detector['rebuild_sweeps_per_sec']:>10.0f} -> "
         f"{detector['incremental_sweeps_per_sec']:>10.0f} sweeps/s   "
         f"({detector['speedup']}x)"
-    )
-    sampling_batch = results["sampling_batch"]
-    detector_batch = results["detector_batch"]
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if sampling_batch["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"batch-smp: {sampling_batch['scalar_patterns_per_sec']:>10.0f} -> "
-        f"{sampling_batch['batch_patterns_per_sec']:>10.0f} patterns/s  "
-        f"({sampling_batch['speedup']}x at cells="
-        f"{sampling_batch['cells']}){numpy_note}"
-    )
-    merge_batch = results["merge_batch"]
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if merge_batch["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"batch-mrg: {merge_batch['scalar_merges_per_sec']:>10.0f} -> "
-        f"{merge_batch['array_merges_per_sec']:>10.0f} merges/s    "
-        f"({merge_batch['speedup']}x at cells={merge_batch['cells']})"
-        f"{numpy_note}"
-    )
-    commit_loop = results["commit_loop"]
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if commit_loop["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"commit:    {commit_loop['scalar_commands_per_sec']:>10.0f} -> "
-        f"{commit_loop['column_commands_per_sec']:>10.0f} commands/s  "
-        f"({commit_loop['speedup']}x over {commit_loop['merges']} merges)"
-        f"{numpy_note}"
-    )
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if detector_batch["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"batch-det: {detector_batch['scalar_snapshots_per_sec']:>10.0f} -> "
-        f"{detector_batch['batch_snapshots_per_sec']:>10.0f} snapshots/s "
-        f"({detector_batch['speedup']}x, "
-        f"{detector_batch['cyclic_snapshots']} cyclic){numpy_note}"
     )
     print(f"json: {args.out}")
     return 0

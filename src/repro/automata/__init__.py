@@ -16,6 +16,10 @@ Supporting modules provide distribution utilities
 (:mod:`repro.automata.distributions`), learning distributions from traces
 (:mod:`repro.automata.learn`) and Markov-chain analysis of a PFA
 (:mod:`repro.automata.analysis`).
+
+Sampling is pure Python.  The analysis names need numpy, so they load
+lazily (PEP 562) on first attribute access: importing this package —
+and so running a campaign — never imports numpy.
 """
 
 from repro.automata.regex_ast import (
@@ -50,16 +54,21 @@ from repro.automata.operations import (
     equivalent,
     pfa_support_dfa,
 )
-from repro.automata.analysis import (
-    expected_pattern_length,
-    reachable_states,
-    absorbing_states,
-    mean_entropy,
-    stationary_distribution,
-    string_probability,
-    transition_entropy,
-    transition_matrix,
-)
+# Markov-chain analysis name -> home module, resolved on first access
+# so the numpy import stays off the sampling path.
+_LAZY = {
+    name: "repro.automata.analysis"
+    for name in (
+        "expected_pattern_length",
+        "reachable_states",
+        "absorbing_states",
+        "mean_entropy",
+        "stationary_distribution",
+        "string_probability",
+        "transition_entropy",
+        "transition_matrix",
+    )
+}
 
 __all__ = [
     "Concat",
@@ -108,3 +117,20 @@ __all__ = [
     "transition_entropy",
     "transition_matrix",
 ]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module 'repro.automata' has no attribute {name!r}"
+        )
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

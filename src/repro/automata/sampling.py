@@ -19,11 +19,6 @@ instead of re-sorting transition dicts on every step.  Seeded output is
 bit-for-bit identical to the legacy dict-walking sampler: the RNG is
 consumed once per multi-arc state, and the cumulative rows are built by
 the same left-to-right float additions the legacy linear scan performed.
-
-This walk is also the scalar *reference* for the vectorized
-:class:`~repro.automata.batch.BatchSampler`, which advances many seeded
-walks in lockstep and must reproduce this sampler's output bit for bit
-(see that module's lockstep-front RNG-order contract).
 """
 
 from __future__ import annotations
@@ -50,10 +45,7 @@ class SampledPattern:
     (sum over chosen transitions), comparable across equal-length walks.
 
     Slotted: campaigns materialise one of these per pattern per round,
-    so dropping the per-instance ``__dict__`` is a real memory win (the
-    bench's ``tracemalloc`` figures track it).  The batch sampler's
-    fast construction path writes through the slot descriptors (see
-    ``repro.automata.batch.PatternBatch``).
+    so dropping the per-instance ``__dict__`` is a real memory win.
     """
 
     symbols: tuple[str, ...]
@@ -105,7 +97,7 @@ class PatternSampler:
         """``MakeChoice`` of Algorithm 2: roulette-wheel selection.
 
         Kept for API compatibility and the ``sample_to_final`` walk; the
-        batch hot path inlines the same index arithmetic.
+        :meth:`sample` hot path inlines the same index arithmetic.
         """
         return self._compiled.transition(state, self._choose_index(state))
 

@@ -227,14 +227,6 @@ class Campaign:
     workers: int | None = None
     batch_size: int | None = None
     pool: "WorkerPool | None" = None
-    #: Vectorized pattern sampling inside worker batches — forwarded to
-    #: :class:`~repro.ptest.executor.CellExecutor`; rows are identical
-    #: at every setting.
-    batch_sampling: bool | None = None
-    #: Worker-side batched merging for same-variant cell groups —
-    #: forwarded to :class:`~repro.ptest.executor.CellExecutor`; rows
-    #: are identical at every setting.
-    merge_batch: bool | None = None
     keep_results: bool = True
     #: Per-cell watchdog deadline in seconds — forwarded to
     #: :class:`~repro.ptest.executor.CellExecutor`; hung pool batches
@@ -331,8 +323,6 @@ class Campaign:
                 self.batch_size if batch_size is None else batch_size
             ),
             pool=self.pool,
-            batch_sampling=self.batch_sampling,
-            merge_batch=self.merge_batch,
             cell_timeout=self.cell_timeout,
             quarantine=self.quarantine,
             chaos=self.chaos,

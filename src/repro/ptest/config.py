@@ -89,8 +89,7 @@ class PTestConfig:
     #: tick); >1 lets the committer outrun the kernel's service rate.
     master_steps_per_tick: int = 1
     #: Record wait-for-graph deltas during detector sweeps; the
-    #: snapshots land on ``TestRunResult.wait_deltas`` and feed the
-    #: batched deadlock re-check (:mod:`repro.ptest.batchdetect`).
+    #: snapshots land on ``TestRunResult.wait_deltas``.
     record_wait_deltas: bool = False
 
     def __post_init__(self) -> None:

@@ -76,8 +76,7 @@ class DetectorConfig:
     #: before declaring deadlock (debounce against transient contention).
     deadlock_confirmations: int = 2
     #: Record a ``(tick, edge-set)`` snapshot on every sweep whose
-    #: wait-graph refresh actually changed edges.  The recorded deltas
-    #: feed the batched re-check of :mod:`repro.ptest.batchdetect`.
+    #: wait-graph refresh actually changed edges.
     record_wait_deltas: bool = False
 
 
@@ -100,8 +99,9 @@ class BugDetector:
     _reported: set[tuple] = field(default_factory=set)
     #: ``(tick, edges)`` per changed sweep, when
     #: ``config.record_wait_deltas`` is set.  Edges are stored in the
-    #: exact order the scalar cycle search consumes them, so replaying
-    #: a delta through :meth:`sweep_batch` reproduces its cycle.
+    #: exact order the cycle search consumes them, so feeding a delta
+    #: to :func:`~repro.ptest.waitgraph.find_cycle_edges` reproduces
+    #: its cycle.
     wait_deltas: list[tuple[int, tuple[tuple[int, int], ...]]] = field(
         default_factory=list
     )
@@ -158,24 +158,6 @@ class BugDetector:
                 description=f"slave kernel panic: {reason}",
             ),
         )
-
-    @staticmethod
-    def sweep_batch(
-        snapshots: "list[tuple[tuple[int, int], ...]]",
-        *,
-        use_numpy: bool | None = None,
-    ) -> "list[tuple[int, ...] | None]":
-        """Check many recorded wait-graph snapshots in one batched pass.
-
-        Returns each snapshot's sorted cycle-member tids (the same
-        reduction :meth:`_check_deadlock` applies before debouncing) or
-        ``None``.  Vectorized screen + scalar confirm — see
-        :mod:`repro.ptest.batchdetect`; falls back to the per-snapshot
-        scalar search without numpy, bit-identically.
-        """
-        from repro.ptest.batchdetect import cycle_tids_batch
-
-        return cycle_tids_batch(snapshots, use_numpy=use_numpy)
 
     def _check_deadlock(self, now: int) -> list[Anomaly]:
         if (

@@ -294,27 +294,6 @@ class CellExecutor:
         consecutive runs reuse warm workers; pass an explicit pool for
         deterministic lifetime control (its width governs the actual
         process count).
-    batch_sampling:
-        Vectorized pattern sampling for same-variant cell groups inside
-        each worker batch (see
-        :func:`~repro.ptest.pool.run_table_batch`).  ``None`` (the
-        default) auto-detects numpy; ``True`` demands the fast path,
-        raising :class:`~repro.errors.ConfigError` up front when numpy
-        is unavailable (or disabled via ``REPRO_NO_NUMPY``); ``False``
-        forces scalar sampling.  Results are bit-identical at every
-        setting — only worker-side throughput changes.  The serial
-        path (``workers=1``) always samples scalar: each cell builds
-        its own generator in-process, and there is no batch to share a
-        sampler across.
-    merge_batch:
-        Worker-side batched merging for the same same-variant groups
-        (rides on a sampling plan, so ``batch_sampling=False`` disables
-        it too): each group's rounds are merged in one
-        :meth:`~repro.ptest.merger.PatternMerger.merge_batch` call,
-        every cell under its own derived merger seed.  Same three-state
-        knob and the same correctness bar: ``None`` auto-detects numpy,
-        ``True`` demands it up front, ``False`` keeps per-cell merging;
-        campaign rows are bit-identical at every setting.
     cell_timeout:
         Watchdog deadline in seconds *per cell*: a pool batch gets
         ``cell_timeout × len(batch)`` of wall clock before its workers
@@ -349,8 +328,6 @@ class CellExecutor:
     workers: int | None = None
     batch_size: int | None = None
     pool: "WorkerPool | None" = None
-    batch_sampling: bool | None = None
-    merge_batch: bool | None = None
     cell_timeout: float | None = None
     quarantine: bool = False
     chaos: "ChaosSpec | None" = None
@@ -402,16 +379,6 @@ class CellExecutor:
             raise ValueError(
                 f"cell_timeout must be > 0, got {self.cell_timeout}"
             )
-        if self.batch_sampling is True or self.merge_batch is True:
-            # Fail the explicit request here, in the parent, with a
-            # ConfigError naming the fix — not an ImportError (or the
-            # worker-side backstop) deep inside a pool process.
-            from repro.automata.batch import require_numpy
-
-            if self.batch_sampling is True:
-                require_numpy("CellExecutor(batch_sampling=True)")
-            if self.merge_batch is True:
-                require_numpy("CellExecutor(merge_batch=True)")
         self.last_batch_size = None
         self.batches_submitted = 0
         self.last_pool_id = None
@@ -613,16 +580,10 @@ class CellExecutor:
                     attempt,
                     table,
                     jobs,
-                    self.batch_sampling,
-                    self.merge_batch,
                 )
             else:
                 future, pool_id = pool.submit_tagged(
-                    run_table_batch,
-                    table,
-                    jobs,
-                    self.batch_sampling,
-                    self.merge_batch,
+                    run_table_batch, table, jobs
                 )
             # Refresh on every submission: submit_tagged respawns a
             # broken pool silently, and telemetry must name the pool

@@ -19,21 +19,18 @@ Distributions can be given three ways:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from repro.automata.batch import BatchSampler, PatternBatch
 from repro.automata.compiled import CompiledPFA
 from repro.automata.dfa import DFA, minimize_dfa, nfa_to_dfa
 from repro.automata.distributions import TransitionDistribution
 from repro.automata.nfa import regex_to_nfa
 from repro.automata.pfa import PFA, build_pfa
 from repro.automata.regex_parser import parse_regex
-from repro.automata.sampling import OnFinal, PatternSampler, SampledPattern
+from repro.automata.sampling import OnFinal, PatternSampler
 from repro.errors import ConfigError, DistributionError
-from repro.ptest.merger import PatternMerger
-from repro.ptest.patterns import MergedPattern, TestPattern
+from repro.ptest.patterns import TestPattern
 
 
 def resolve_label_distribution(
@@ -153,299 +150,3 @@ class PatternGenerator:
         by tests to re-validate every generated pattern against the RE."""
         return self.pfa.walk_probability(tuple(symbols)) > 0.0
 
-
-@dataclass
-class SharedPatternBatch:
-    """One vectorized sampler feeding many harness cells' generators.
-
-    The worker-side batching bridge: a batch of same-variant campaign
-    cells shares one :class:`~repro.automata.batch.BatchSampler` over
-    the variant's compiled automaton, with one lockstep *column* per
-    cell (seeded with that cell's own generator seed).  Cells run
-    sequentially inside the worker, so each cell's patterns are staged
-    in a per-cell FIFO: whenever any cell needs a pattern none of its
-    rounds have produced yet, one lockstep ``sample(size)`` advances
-    *every* cell by one pattern and queues the results.  Per-cell draw
-    order is exactly the scalar order (the sampler's lockstep-front
-    contract), so the queue any single cell drains is bit-identical to
-    what its own ``PatternSampler(seed)`` would have produced — no
-    matter how the other cells interleave their consumption.
-
-    ``size`` is fixed per batch (it is fixed per scenario config);
-    :meth:`next_pattern` rejects a mismatching request rather than
-    silently desynchronising the lockstep draws.
-
-    Queues hold whole :class:`~repro.automata.batch.PatternBatch`
-    objects (one per lockstep round), not materialised patterns:
-    :meth:`next_batch` hands a cell its round's batch so the stream
-    can build an array-backed ``TestPattern`` straight from the cell's
-    id row — the sample→merge path stays on arrays end to end.
-    :meth:`next_pattern` keeps the materialised-object surface for
-    callers that want one.
-    """
-
-    pfa: PFA | CompiledPFA
-    seeds: Sequence[int | None]
-    size: int
-    on_final: OnFinal = "stop"
-    use_numpy: bool | None = None
-    sampler: BatchSampler = field(init=False, repr=False)
-    _queues: list[deque] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ConfigError(
-                f"pattern size must be >= 1, got {self.size}"
-            )
-        self.sampler = BatchSampler(
-            self.pfa,
-            self.seeds,
-            on_final=self.on_final,
-            use_numpy=self.use_numpy,
-        )
-        self._queues = [deque() for _ in self.seeds]
-
-    @property
-    def cells(self) -> int:
-        return self.sampler.cells
-
-    def prime(self, rounds: int) -> None:
-        """Pre-draw ``rounds`` patterns per cell (one vectorized pass
-        per round) — typically the first harness round's full
-        ``pattern_count``, drawn before any cell starts running."""
-        for _ in range(rounds):
-            self._advance()
-
-    def _advance(self) -> None:
-        batch = self.sampler.sample_batch(self.size)
-        for queue in self._queues:
-            queue.append(batch)
-
-    def next_batch(self, cell: int, size: int) -> PatternBatch:
-        """Cell ``cell``'s next round, as the round's whole
-        :class:`PatternBatch` (the cell reads only its own row)."""
-        if size != self.size:
-            raise ConfigError(
-                f"shared pattern batch was built for size {self.size}, "
-                f"cell requested {size}"
-            )
-        queue = self._queues[cell]
-        if not queue:
-            self._advance()
-        return queue.popleft()
-
-    def next_pattern(self, cell: int, size: int) -> SampledPattern:
-        return self.next_batch(cell, size).pattern(cell)
-
-    def stream(self, cell: int) -> "BatchPatternStream":
-        """Cell ``cell``'s generator-shaped view of this batch."""
-        return BatchPatternStream(shared=self, cell=cell)
-
-
-@dataclass
-class BatchPatternStream:
-    """One cell's :class:`PatternGenerator`-shaped view of a
-    :class:`SharedPatternBatch`.
-
-    Presents the exact generator surface the harness consumes
-    (:meth:`generate` / :meth:`generate_batch` with the same validation
-    errors, the ``generated`` counter, :meth:`accepts`) while drawing
-    its patterns from the shared vectorized sampler.
-    :meth:`matches` is the harness-side guard: the stream is only ever
-    substituted for a scalar generator walking the *same compiled
-    automaton* with the *same seed*, so substitution can never change a
-    run's output.
-    """
-
-    shared: SharedPatternBatch
-    cell: int
-    generated: int = 0
-
-    @property
-    def seed(self) -> int | None:
-        return self.shared.seeds[self.cell]
-
-    @property
-    def pfa(self) -> PFA:
-        return self.shared.sampler.compiled.source
-
-    def matches(
-        self, pfa: PFA | CompiledPFA | None, seed: int | None
-    ) -> bool:
-        """Whether this stream reproduces ``PatternGenerator.from_pfa(
-        pfa, seed=seed)`` bit for bit: identical compiled automaton
-        (object identity — the worker cache substitutes the very
-        instance the batch walks) and identical generator seed."""
-        return pfa is self.shared.sampler.compiled and seed == self.seed
-
-    def generate(self, size: int, pattern_id: int = 0) -> TestPattern:
-        if size < 1:
-            raise ConfigError(f"pattern size must be >= 1, got {size}")
-        batch = self.shared.next_batch(self.cell, size)
-        self.generated += 1
-        row = batch.row(self.cell)
-        if row is None:
-            # Scalar fallback: the batch holds materialised patterns.
-            sampled = batch.pattern(self.cell)
-            return TestPattern(
-                pattern_id=pattern_id,
-                symbols=sampled.symbols,
-                states=sampled.states,
-                log_probability=sampled.log_probability,
-            )
-        # Array plane: the TestPattern wraps the cell's id row directly
-        # (zero-copy views into the batch) and materialises its tuple
-        # surface only if something reads it — the merger won't.
-        return TestPattern.from_ids(
-            pattern_id=pattern_id,
-            symbol_ids=row.symbol_ids,
-            alphabet=row.alphabet,
-            state_ids=row.state_ids,
-            log_probability=row.log_probability,
-        )
-
-    def generate_batch(self, count: int, size: int) -> list[TestPattern]:
-        if count < 1:
-            raise ConfigError(f"pattern count must be >= 1, got {count}")
-        return [self.generate(size, pattern_id=i) for i in range(count)]
-
-    def accepts(self, symbols: tuple[str, ...] | list[str]) -> bool:
-        return self.pfa.walk_probability(tuple(symbols)) > 0.0
-
-
-@dataclass
-class SharedMergeBatch:
-    """Cross-cell merge dispatch layered on a :class:`SharedPatternBatch`.
-
-    One batch of same-variant campaign cells already shares a lockstep
-    sampler; this extends the sharing one stage further down the array
-    plane: each *round*, every cell's ``pattern_count`` patterns are
-    drawn from the shared sampler (through the cells' own
-    :class:`BatchPatternStream` views, preserving per-cell draw order)
-    and all cells' groups are merged in **one**
-    :meth:`~repro.ptest.merger.PatternMerger.merge_batch` call, each
-    group under the merger seed that cell's harness derives from its
-    own master seed.  Merges are pure functions of
-    ``(op, seed, chunk, patterns)`` — every merge starts a fresh
-    ``random.Random(seed)`` — so the queued results are bit-identical
-    to the per-cell ``PatternMerger.merge`` calls they replace, no
-    matter how the cells interleave their consumption.
-
-    Like the sampler underneath, cells run sequentially inside the
-    worker, so per-cell results are staged in FIFOs: whenever any cell
-    needs a round no advance has produced yet, one batched round is
-    drawn and merged for *every* cell.
-    """
-
-    shared: SharedPatternBatch
-    #: Per-cell merger seeds (the ``fresh_seed("merger")`` each cell's
-    #: harness derives); aligned with the sampler's cells.
-    merger_seeds: Sequence[int | None]
-    op: str
-    chunk: int
-    pattern_count: int
-    merger: PatternMerger = field(init=False, repr=False)
-    _streams: list["BatchPatternStream"] = field(init=False, repr=False)
-    _queues: list[deque] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.pattern_count < 1:
-            raise ConfigError(
-                f"pattern count must be >= 1, got {self.pattern_count}"
-            )
-        if len(self.merger_seeds) != self.shared.cells:
-            raise ConfigError(
-                f"shared sampler has {self.shared.cells} cells but "
-                f"{len(self.merger_seeds)} merger seeds were given"
-            )
-        # The seed is overridden per group at merge time.
-        self.merger = PatternMerger(op=self.op, chunk=self.chunk)
-        self._streams = [
-            self.shared.stream(cell) for cell in range(self.shared.cells)
-        ]
-        self._queues = [deque() for _ in self.merger_seeds]
-
-    @property
-    def cells(self) -> int:
-        return self.shared.cells
-
-    def prime(self, rounds: int) -> None:
-        """Pre-draw and pre-merge ``rounds`` rounds per cell before any
-        cell starts running (the batch planner primes one)."""
-        for _ in range(rounds):
-            self._advance()
-
-    def _advance(self) -> None:
-        groups = [
-            stream.generate_batch(self.pattern_count, self.shared.size)
-            for stream in self._streams
-        ]
-        merges = self.merger.merge_batch(groups, seeds=self.merger_seeds)
-        for queue, merged in zip(self._queues, merges):
-            queue.append(merged)
-
-    def next_merged(self, cell: int) -> MergedPattern:
-        """Cell ``cell``'s next round's merged pattern (sources
-        included, exactly as the cell's own generate+merge would)."""
-        queue = self._queues[cell]
-        if not queue:
-            self._advance()
-        return queue.popleft()
-
-    def stream(self, cell: int) -> "BatchMergeStream":
-        """Cell ``cell``'s harness-facing view of this batch."""
-        return BatchMergeStream(shared=self, cell=cell)
-
-
-@dataclass
-class BatchMergeStream:
-    """One cell's view of a :class:`SharedMergeBatch` — the
-    ``merge_override`` the worker batch dispatch hands an
-    :class:`~repro.ptest.harness.AdaptiveTest`.
-
-    :meth:`matches` is the harness-side guard, the merge analogue of
-    :meth:`BatchPatternStream.matches`: the stream substitutes for the
-    cell's generate+merge only when it provably reproduces them bit for
-    bit — same compiled automaton (object identity), same generator
-    seed, same merger seed/op/chunk, same round shape.
-    """
-
-    shared: SharedMergeBatch
-    cell: int
-    #: Rounds this cell has consumed (observability, like
-    #: ``BatchPatternStream.generated``).
-    rounds: int = 0
-
-    @property
-    def generator_seed(self) -> int | None:
-        return self.shared.shared.seeds[self.cell]
-
-    @property
-    def merger_seed(self) -> int | None:
-        return self.shared.merger_seeds[self.cell]
-
-    def matches(
-        self,
-        pfa: PFA | CompiledPFA | None,
-        generator_seed: int | None,
-        merger: PatternMerger,
-        pattern_count: int,
-        pattern_size: int,
-    ) -> bool:
-        """Whether this stream reproduces ``generator.generate_batch``
-        + ``merger.merge`` for the run that would use ``pfa``,
-        ``generator_seed`` and ``merger`` — every parameter that feeds
-        the merge must agree before substitution is allowed."""
-        return (
-            pfa is self.shared.shared.sampler.compiled
-            and generator_seed == self.generator_seed
-            and merger.seed == self.merger_seed
-            and merger.op == self.shared.op
-            and merger.chunk == self.shared.chunk
-            and pattern_count == self.shared.pattern_count
-            and pattern_size == self.shared.shared.size
-        )
-
-    def next_merged(self) -> MergedPattern:
-        self.rounds += 1
-        return self.shared.next_merged(self.cell)

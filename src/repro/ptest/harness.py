@@ -29,11 +29,7 @@ from repro.pcore.tcb import TaskState
 from repro.ptest.committer import Committer
 from repro.ptest.config import PTestConfig
 from repro.ptest.detector import Anomaly, BugDetector, DetectorConfig
-from repro.ptest.generator import (
-    BatchMergeStream,
-    BatchPatternStream,
-    PatternGenerator,
-)
+from repro.ptest.generator import PatternGenerator
 from repro.ptest.merger import PatternMerger
 from repro.ptest.patterns import MergedPattern
 from repro.ptest.pcore_model import PCORE_REGULAR_EXPRESSION, pcore_pfa
@@ -111,25 +107,6 @@ class AdaptiveTest:
     #: pattern (single round).  Used by the systematic (CHESS-lite)
     #: baseline and by reproduction of externally crafted interleavings.
     merged_override: "MergedPattern | None" = None
-    #: When set (by the worker-side batch dispatch of
-    #: :mod:`repro.ptest.pool`), this cell draws its patterns from a
-    #: shared vectorized sampler instead of building a scalar
-    #: :class:`PatternGenerator`.  Guarded: the stream is used only if
-    #: :meth:`BatchPatternStream.matches` confirms it walks the same
-    #: compiled automaton with the same generator seed this run would
-    #: have used, so the substitution can never change output (the
-    #: sampler's lockstep walk is bit-identical to the scalar one).
-    generator_override: "BatchPatternStream | None" = None
-    #: When set (also by the worker-side batch dispatch), this cell's
-    #: whole generate+merge step comes pre-computed from a shared
-    #: :class:`~repro.ptest.generator.SharedMergeBatch` — same-variant
-    #: cells' rounds are sampled *and merged* as one vectorized group.
-    #: Guarded like ``generator_override``: used only if
-    #: :meth:`BatchMergeStream.matches` confirms the stream reproduces
-    #: this run's automaton, generator seed, merger seed/op/chunk and
-    #: round shape, so substitution can never change output (merges are
-    #: pure functions of those inputs).
-    merge_override: "BatchMergeStream | None" = None
 
     def pattern_pfa(self) -> PFA | CompiledPFA | None:
         """The automaton the generator will walk, ``None`` for the regex
@@ -164,33 +141,12 @@ class AdaptiveTest:
         """Execute Algorithm 1 until a bug, budget exhaustion, or done."""
         config = self.config
         streams = RngStreams(master_seed=config.seed)
-        # The generator seed is drawn unconditionally so the merger and
-        # noise streams below see the same draw order whether or not a
-        # batch stream substitutes for the scalar generator.
-        generator_seed = streams.fresh_seed("generator")
+        generator = self._build_generator(streams.fresh_seed("generator"))
         merger = PatternMerger(
             op=config.op,
             seed=streams.fresh_seed("merger"),
             chunk=config.chunk,
         )
-        merge_stream = self.merge_override
-        if merge_stream is not None and not merge_stream.matches(
-            self.pattern_pfa(),
-            generator_seed,
-            merger,
-            config.pattern_count,
-            config.pattern_size,
-        ):
-            merge_stream = None
-        generator: PatternGenerator | BatchPatternStream | None = None
-        if merge_stream is None:
-            override = self.generator_override
-            if override is not None and override.matches(
-                self.pattern_pfa(), generator_seed
-            ):
-                generator = override
-            else:
-                generator = self._build_generator(generator_seed)
 
         soc = DualCoreSoC(
             config=SoCConfig(
@@ -236,9 +192,6 @@ class AdaptiveTest:
             # Start a (new) round: generate, merge, commit.
             if self.merged_override is not None:
                 merged = self.merged_override
-                patterns = list(merged.sources)
-            elif merge_stream is not None:
-                merged = merge_stream.next_merged()
                 patterns = list(merged.sources)
             else:
                 patterns = generator.generate_batch(

@@ -25,37 +25,22 @@ for choosing which pattern contributes its next symbol(s):
 
 Custom policies register via :func:`register_merge_op`.
 
-Array assembly and the RNG-order contract
------------------------------------------
+The RNG-order contract
+----------------------
 
-With numpy present, :meth:`PatternMerger.merge` assembles the merge on
-the array plane: source patterns become interned id rows (zero-copy
-when they are already array-backed ``TestPattern``\\ s sharing one
-alphabet), the merge *order* becomes an index array, and the output is
-an array-backed :class:`~repro.ptest.patterns.MergedPattern` built by
-one fancy-indexed gather — no per-symbol ``PatternCommand`` objects
-until something iterates the result.
-
-The deterministic ops (``round_robin``/``cyclic``/``burst``) get fully
-vectorized order construction.  ``random``/``weighted`` — and any
-custom op registered via :func:`register_merge_op` — keep their scalar
-order functions **verbatim**: the per-draw RNG-order contract (one
-``rng.choice``/``rng.random()`` per emitted symbol, consumed in
-emission order against a fresh ``random.Random(seed)`` per merge) is
-part of the reproducibility surface, so the array path may only change
-*assembly*, never the sequence of RNG draws.  Output is bit-identical
-to the scalar path for every op — the scalar loop remains the
-reference (and the only path when numpy is absent or ``REPRO_NO_NUMPY``
-is set), proven equal op-by-op in ``tests/test_merge_batch.py``.
+``random`` and ``weighted`` (and any custom op) consume one
+``rng.choice``/``rng.random()`` per emitted symbol, in emission order,
+against a fresh ``random.Random(seed)`` per merge.  That draw sequence
+is part of the reproducibility surface: a merge is a pure function of
+``(op, seed, chunk, patterns)``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Protocol, Sequence
 
-from repro.automata.batch import numpy_or_none, require_numpy
 from repro.errors import ConfigError
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
 
@@ -169,100 +154,10 @@ MERGE_OPS: dict[str, OrderFunction] = {
 
 
 def register_merge_op(name: str, order_function: OrderFunction) -> None:
-    """Add a custom merge policy usable by name in configs.
-
-    Custom ops stay scalar order functions; with numpy present their
-    order still assembles through the array gather (scalar order,
-    vectorized assembly — bit-identical output either way).
-    """
+    """Add a custom merge policy usable by name in configs."""
     if name in MERGE_OPS:
         raise ConfigError(f"merge op {name!r} already registered")
     MERGE_OPS[name] = order_function
-
-
-def _array_order_round_robin(np: Any, lengths: Any, chunk: int) -> tuple:
-    """Vectorized ``round_robin`` order: round ``r`` emits, in pattern
-    order, every pattern longer than ``r`` — a boolean mask over the
-    (rounds, n) grid, flattened row-major."""
-    del chunk
-    n = len(lengths)
-    rounds = int(lengths.max())
-    mask = np.arange(rounds, dtype=np.int64)[:, None] < lengths[None, :]
-    order = np.broadcast_to(np.arange(n, dtype=np.int64), (rounds, n))[mask]
-    seq = np.broadcast_to(
-        np.arange(1, rounds + 1, dtype=np.int64)[:, None], (rounds, n)
-    )[mask]
-    return order, seq
-
-
-def _array_order_cyclic(np: Any, lengths: Any, chunk: int) -> tuple:
-    """Vectorized ``cyclic`` order: round ``r``, pattern ``k``, slot
-    ``j`` emits symbol ``r * chunk + j`` of pattern ``k`` when that
-    position exists — a mask over the (rounds, n, chunk) grid."""
-    if chunk < 1:
-        raise ConfigError(f"cyclic chunk must be >= 1, got {chunk}")
-    n = len(lengths)
-    rounds = -(-int(lengths.max()) // chunk)
-    position = (
-        np.arange(rounds, dtype=np.int64)[:, None, None] * chunk
-        + np.arange(chunk, dtype=np.int64)[None, None, :]
-    )  # (rounds, 1, chunk)
-    mask = position < lengths[None, :, None]
-    shape = (rounds, n, chunk)
-    order = np.broadcast_to(
-        np.arange(n, dtype=np.int64)[None, :, None], shape
-    )[mask]
-    seq = np.broadcast_to(position + 1, shape)[mask]
-    return order, seq
-
-
-def _array_order_burst(np: Any, lengths: Any, chunk: int) -> tuple:
-    """Vectorized ``burst`` order: each pattern's full length, back to
-    back, with within-pattern sequence numbers as offset aranges."""
-    del chunk
-    n = len(lengths)
-    total = int(lengths.sum())
-    order = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    begins = np.cumsum(lengths) - lengths
-    seq = np.arange(1, total + 1, dtype=np.int64) - np.repeat(begins, lengths)
-    return order, seq
-
-
-#: Deterministic built-ins whose *order construction* vectorizes.
-#: ``random``/``weighted`` are deliberately absent: their per-draw RNG
-#: consumption is contract, so they run their scalar order functions
-#: and only the assembly is arrays.
-_ARRAY_ORDER_OPS: dict[str, Callable[[Any, Any, int], tuple]] = {
-    "round_robin": _array_order_round_robin,
-    "cyclic": _array_order_cyclic,
-    "burst": _array_order_burst,
-}
-
-
-def _interned_rows(np: Any, patterns: list[TestPattern]) -> tuple:
-    """``(alphabet, rows)`` with every pattern as an id array.
-
-    Zero-copy when all patterns are array-backed over one shared
-    alphabet (the batch-sampling plane guarantees identity); otherwise
-    symbols are interned here, first-appearance order.
-    """
-    shared = patterns[0].alphabet
-    if shared is not None and all(
-        p.alphabet is shared and p.symbol_ids is not None for p in patterns
-    ):
-        return shared, [p.symbol_ids for p in patterns]
-    index: dict[str, int] = {}
-    rows = []
-    for pattern in patterns:
-        symbols = pattern.symbols
-        rows.append(
-            np.fromiter(
-                (index.setdefault(s, len(index)) for s in symbols),
-                dtype=np.int64,
-                count=len(symbols),
-            )
-        )
-    return tuple(index), rows
 
 
 @dataclass
@@ -277,17 +172,11 @@ class PatternMerger:
         RNG seed for stochastic policies.
     chunk:
         Subsequence length for the ``cyclic`` policy.
-    use_numpy:
-        ``None`` (default) auto-detects the array assembly path;
-        ``True`` demands it (:class:`~repro.errors.ConfigError` when
-        numpy is unavailable); ``False`` forces the scalar reference
-        loop.  Output is bit-identical either way.
     """
 
     op: str = "round_robin"
     seed: int | None = None
     chunk: int = 2
-    use_numpy: bool | None = None
 
     def __post_init__(self) -> None:
         if self.op not in MERGE_OPS:
@@ -303,16 +192,8 @@ class PatternMerger:
         if len(set(ids)) != len(ids):
             raise ConfigError("pattern ids must be unique")
         # One fresh RNG per merge, consumed in emission order by the
-        # stochastic order functions — on both paths.
+        # stochastic order functions.
         rng = random.Random(self.seed)
-        if self.use_numpy is True:
-            np = require_numpy("PatternMerger(use_numpy=True)")
-        elif self.use_numpy is False:
-            np = None
-        else:
-            np = numpy_or_none()
-        if np is not None:
-            return self._merge_arrays(np, patterns, rng)
         order = MERGE_OPS[self.op](patterns, rng, self.chunk)
         # Lengths and symbol tuples hoisted once: order functions and
         # this loop stop re-walking (or re-materialising) per step.
@@ -340,97 +221,6 @@ class PatternMerger:
         )
         merged.validate()
         return merged
-
-    def _merge_arrays(
-        self, np: Any, patterns: list[TestPattern], rng: random.Random
-    ) -> MergedPattern:
-        """Array assembly: order as an index array, symbols by one
-        fancy-indexed gather, validation as vectorized count/bound
-        checks (same :class:`ConfigError`\\ s as the scalar loop +
-        ``validate()``), output array-backed and lazy."""
-        n = len(patterns)
-        lengths = np.fromiter(
-            (len(p) for p in patterns), dtype=np.int64, count=n
-        )
-        alphabet, rows = _interned_rows(np, patterns)
-        max_len = int(lengths.max())
-        padded = np.zeros((n, max(max_len, 1)), dtype=np.int64)
-        for k, row in enumerate(rows):
-            padded[k, : len(row)] = row
-        pattern_ids = np.fromiter(
-            (p.pattern_id for p in patterns), dtype=np.int64, count=n
-        )
-        vectorized = _ARRAY_ORDER_OPS.get(self.op)
-        if vectorized is not None:
-            order_index, seq = vectorized(np, lengths, self.chunk)
-        else:
-            # Scalar order (exact RNG-draw sequence), array assembly.
-            order = MERGE_OPS[self.op](patterns, rng, self.chunk)
-            index_of = {p.pattern_id: k for k, p in enumerate(patterns)}
-            order_index = np.fromiter(
-                (index_of[pid] for pid in order),
-                dtype=np.int64,
-                count=len(order),
-            )
-            # Per-pattern 1-based sequence numbers, and the same
-            # over/under-consumption errors the scalar loop raises.
-            seq = np.empty(len(order), dtype=np.int64)
-            for k in range(n):
-                mask = order_index == k
-                count = int(mask.sum())
-                if count > lengths[k]:
-                    raise ConfigError(
-                        f"merge op {self.op!r} over-consumed pattern "
-                        f"{patterns[k].pattern_id}"
-                    )
-                if count < lengths[k]:
-                    raise ConfigError(
-                        f"pattern {patterns[k].pattern_id} only merged "
-                        f"{count}/{int(lengths[k])} symbols"
-                    )
-                seq[mask] = np.arange(1, count + 1, dtype=np.int64)
-        symbol_ids = padded[order_index, seq - 1]
-        return MergedPattern.from_arrays(
-            op=self.op,
-            sources=list(patterns),
-            pattern_ids=pattern_ids.take(order_index),
-            sequences=seq,
-            symbol_ids=symbol_ids,
-            alphabet=alphabet,
-        )
-
-    def merge_batch(
-        self,
-        pattern_groups: Sequence[Sequence[TestPattern]],
-        seeds: Sequence[int | None] | None = None,
-    ) -> list[MergedPattern]:
-        """Merge many cells' pattern groups in one call.
-
-        Each group gets its own fresh ``random.Random(seed)`` exactly
-        as :meth:`merge` would — a batch of *independent* merges, so
-        results equal per-group :meth:`merge` calls bit for bit.  The
-        batch entry point the array plane hands a
-        ``SharedPatternBatch``'s cells to: sampled id arrays flow in,
-        array-backed merges flow out, and nothing in between
-        materialises a per-symbol Python object.
-
-        ``seeds`` (when given) overrides the merge seed *per group* —
-        how the worker-side cross-cell dispatch merges many campaign
-        cells' rounds at once, each under the merger seed that cell's
-        own harness would have derived.  Group *i* then merges exactly
-        as ``replace(self, seed=seeds[i]).merge(group)`` would.
-        """
-        if seeds is None:
-            return [self.merge(list(group)) for group in pattern_groups]
-        if len(seeds) != len(pattern_groups):
-            raise ConfigError(
-                f"merge_batch got {len(pattern_groups)} groups but "
-                f"{len(seeds)} seeds"
-            )
-        return [
-            replace(self, seed=seed).merge(list(group))
-            for group, seed in zip(pattern_groups, seeds)
-        ]
 
     def merge_symbols(
         self, symbol_lists: Sequence[Sequence[str]]

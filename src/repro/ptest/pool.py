@@ -560,8 +560,6 @@ def _check_ref_payload(builder: Any) -> None:
 def run_table_batch(
     table: Sequence["ScenarioBuilder"],
     jobs: Sequence[tuple[int, int]],
-    batch_sampling: bool | None = None,
-    merge_batch: bool | None = None,
 ) -> list["TestRunResult"]:
     """Worker-side entry point: run one batch table's jobs, in order.
 
@@ -575,189 +573,20 @@ def run_table_batch(
     pattern is memoized per replay key.  Everything else (raw
     callables, refs bound to a custom registry) runs uncached exactly
     as before.
-
-    ``batch_sampling`` selects the vectorized pattern-sampling fast
-    path for same-variant job groups (see :func:`_plan_batch_sampling`):
-    ``None`` auto-detects numpy, ``True`` demands it
-    (:class:`~repro.errors.ConfigError` when unavailable — the
-    parent-side executor raises the same error earlier), ``False``
-    forces the scalar path.  ``merge_batch`` extends a planned group
-    one stage further: the group's rounds are merged as one
-    :meth:`~repro.ptest.merger.PatternMerger.merge_batch` call, each
-    cell under its own derived merger seed (same three-state knob;
-    merge batching rides on a sampling plan, so ``batch_sampling=False``
-    disables it too).  Results are bit-identical at every setting.
     """
     from repro.ptest.replay import ReplayRef
     from repro.workloads.registry import ScenarioRef
 
-    plans = _plan_batch_sampling(table, jobs, batch_sampling, merge_batch)
     results = []
-    for job_index, (position, seed) in enumerate(jobs):
+    for position, seed in jobs:
         builder = table[position]
         if isinstance(builder, ScenarioRef) and builder.registry is None:
-            results.append(
-                _run_cached_ref(builder, seed, plans.get(job_index))
-            )
+            results.append(_run_cached_ref(builder, seed))
         elif isinstance(builder, ReplayRef) and builder.portable:
             results.append(_run_cached_replay(builder, seed))
         else:
             results.append(builder(seed).run())
     return results
-
-
-@dataclass
-class _BatchPlan:
-    """One same-variant job group's shared vectorized sampling state."""
-
-    entry: "_CacheEntry"
-    shared: Any  # SharedPatternBatch
-    first_test: Any  # the AdaptiveTest already built for the first job
-    #: The group's :class:`~repro.ptest.generator.SharedMergeBatch`
-    #: when worker-side merge batching is on (``None``: cells merge
-    #: their own rounds, the plan only shares sampling).
-    merges: Any = None
-
-
-def _plan_batch_sampling(
-    table: Sequence["ScenarioBuilder"],
-    jobs: Sequence[tuple[int, int]],
-    batch_sampling: bool | None,
-    merge_batch: bool | None = None,
-) -> dict[int, tuple[_BatchPlan, int]]:
-    """Group a batch's jobs for vectorized pattern sampling.
-
-    Jobs sharing one portable ``ScenarioRef`` table position form a
-    group; every group of two or more cells gets a
-    :class:`~repro.ptest.generator.SharedPatternBatch` walking the
-    variant's cached compiled automaton with one lockstep column per
-    cell, seeded with the exact generator seed each cell's harness
-    will derive.  With ``merge_batch`` on (or auto with numpy), the
-    plan also carries a :class:`~repro.ptest.generator.SharedMergeBatch`
-    so the group's rounds are merged in one batched call, each cell
-    under the merger seed its harness derives.  Returns
-    ``{job_index: (plan, cell_column)}`` for the planned jobs;
-    everything unplanned runs the scalar path.
-
-    Strictly advisory: any group that cannot be planned — regex-pipeline
-    scenarios with no explicit PFA, subclassed harnesses, overridden
-    generators, planner errors — simply falls back to scalar sampling,
-    which is bit-identical by the sampler's contract.
-    """
-    if batch_sampling is False:
-        return {}
-    from repro.automata.batch import numpy_or_none, require_numpy
-
-    if merge_batch is True:
-        # Worker-side backstops; CellExecutor raises these same
-        # ConfigErrors parent-side before any batch is submitted.
-        # The merge check runs before the auto-sampling early-out: an
-        # *explicit* merge_batch=True must fail loudly without numpy,
-        # never silently degrade with the auto-detected sampling path.
-        require_numpy("run_table_batch(merge_batch=True)")
-    if batch_sampling is True:
-        require_numpy("run_table_batch(batch_sampling=True)")
-    elif numpy_or_none() is None:
-        return {}
-    from repro.workloads.registry import ScenarioRef
-
-    groups: dict[int, list[int]] = {}
-    for job_index, (position, _seed) in enumerate(jobs):
-        builder = table[position]
-        if isinstance(builder, ScenarioRef) and builder.registry is None:
-            groups.setdefault(position, []).append(job_index)
-    plans: dict[int, tuple[_BatchPlan, int]] = {}
-    for position, members in groups.items():
-        if len(members) < 2:
-            continue
-        try:
-            plan = _build_batch_plan(
-                table[position],
-                [jobs[index][1] for index in members],
-                merge_batch,
-            )
-        except Exception:
-            continue  # scalar fallback; results identical either way
-        if plan is None:
-            continue
-        for cell, job_index in enumerate(members):
-            plans[job_index] = (plan, cell)
-    return plans
-
-
-def _build_batch_plan(
-    ref: "ScenarioRef",
-    seeds: Sequence[int],
-    merge_batch: bool | None = None,
-) -> _BatchPlan | None:
-    """Build one group's shared sampler, or ``None`` if not batchable.
-
-    Batchable means: the ref builds a plain :class:`AdaptiveTest` (not
-    a subclass — an override could change how patterns are consumed)
-    with no merged/generator override, whose pattern automaton resolves
-    to an explicit (cache-compiled) PFA.  The shared sampler is seeded
-    with each cell's derived generator seed — the same
-    ``RngStreams(master_seed=seed).fresh_seed("generator")`` the
-    harness draws — and primed with the first round's pattern count.
-    Unless ``merge_batch`` is ``False``, the plan is extended with a
-    :class:`~repro.ptest.generator.SharedMergeBatch` seeded with each
-    cell's derived *merger* seed (``fresh_seed("merger")`` — seeds are
-    pure hashes, so deriving them here matches the harness's own
-    draws), and one round is pre-merged instead of pre-sampled.
-    """
-    from repro.automata.batch import packed_rows
-    from repro.ptest.generator import SharedMergeBatch, SharedPatternBatch
-    from repro.sim.rng import RngStreams
-
-    entry = _cache_entry(ref.cache_key, lambda: _resolved_entry(ref))
-    # The other group members skip their per-job cache fetch (the plan
-    # carries the entry), so account their hits here — cache telemetry
-    # stays identical to the unbatched path.
-    entry.hits += len(seeds) - 1
-    first_test = entry.builder(seeds[0], **entry.params)
-    if type(first_test) is not AdaptiveTest:
-        return None
-    if (
-        first_test.merged_override is not None
-        or first_test.generator_override is not None
-        or first_test.merge_override is not None
-    ):
-        return None
-    _prime_compiled_pfa(first_test, entry)
-    compiled = first_test.pattern_pfa()
-    if not isinstance(compiled, CompiledPFA):
-        return None
-    config = first_test.config
-    generator_seeds = [
-        RngStreams(master_seed=seed).fresh_seed("generator")
-        for seed in seeds
-    ]
-    shared = SharedPatternBatch(
-        pfa=compiled,
-        seeds=generator_seeds,
-        size=config.pattern_size,
-    )
-    if shared.sampler.used_numpy:
-        entry.packed = packed_rows(compiled)
-    merges = None
-    if merge_batch is not False:
-        merger_seeds = [
-            RngStreams(master_seed=seed).fresh_seed("merger")
-            for seed in seeds
-        ]
-        merges = SharedMergeBatch(
-            shared=shared,
-            merger_seeds=merger_seeds,
-            op=config.op,
-            chunk=config.chunk,
-            pattern_count=config.pattern_count,
-        )
-        merges.prime(1)
-    else:
-        shared.prime(config.pattern_count)
-    return _BatchPlan(
-        entry=entry, shared=shared, first_test=first_test, merges=merges
-    )
 
 
 #: Seed used to build the throwaway test instance a prewarm compiles
@@ -806,13 +635,6 @@ def prewarm_table(table: Sequence["ScenarioBuilder"]) -> int:
             _prime_compiled_pfa(
                 entry.builder(PREWARM_SEED, **entry.params), entry
             )
-            if entry.compiled is not None and entry.packed is None:
-                # Pre-pack the batch sampler's padded arrays too (when
-                # numpy is on), so the first real batch re-packs nothing.
-                from repro.automata.batch import numpy_available, packed_rows
-
-                if numpy_available():
-                    entry.packed = packed_rows(entry.compiled)
             warmed += 1
         except Exception:
             continue  # the round's own dispatch surfaces the error
@@ -829,11 +651,6 @@ class _CacheEntry:
     #: Parsed merged pattern of a replay cell (``None`` for plain
     #: scenario entries) — read-only to the harness, safely shared.
     merged: Any = None
-    #: The compiled PFA's padded numpy packing
-    #: (:class:`~repro.automata.batch.PackedPFA`), pinned here once the
-    #: batch-sampling planner builds it so warm workers re-pack nothing
-    #: (it is also cached on the compiled instance itself).
-    packed: Any = None
     hits: int = 0
     compilations: int = 0
 
@@ -876,31 +693,10 @@ def _resolved_entry(ref: "ScenarioRef", merged: Any = None) -> _CacheEntry:
     )
 
 
-def _run_cached_ref(
-    ref: "ScenarioRef",
-    seed: int,
-    plan_cell: tuple[_BatchPlan, int] | None = None,
-) -> "TestRunResult":
-    if plan_cell is None:
-        entry = _cache_entry(ref.cache_key, lambda: _resolved_entry(ref))
-        test = entry.builder(seed, **entry.params)
-        _prime_compiled_pfa(test, entry)
-        return test.run()
-    plan, cell = plan_cell
-    entry = plan.entry
-    if cell == 0:
-        # The planner already built (and primed) the group's first test.
-        test = plan.first_test
-    else:
-        test = entry.builder(seed, **entry.params)
-        _prime_compiled_pfa(test, entry)
-    # Exactly one override per cell: the merge stream consumes the
-    # shared sampler itself, so also attaching a generator stream would
-    # double-consume the cell's column.
-    if plan.merges is not None:
-        test.merge_override = plan.merges.stream(cell)
-    else:
-        test.generator_override = plan.shared.stream(cell)
+def _run_cached_ref(ref: "ScenarioRef", seed: int) -> "TestRunResult":
+    entry = _cache_entry(ref.cache_key, lambda: _resolved_entry(ref))
+    test = entry.builder(seed, **entry.params)
+    _prime_compiled_pfa(test, entry)
     return test.run()
 
 

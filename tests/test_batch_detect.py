@@ -1,33 +1,26 @@
-"""Batched deadlock detection: screen + confirm vs the scalar search.
+"""Deadlock detection over batches of wait-for snapshots.
 
-:func:`~repro.ptest.batchdetect.find_cycles_batch` promises exactly
-``[find_cycle_edges(edges) for edges in edge_sets]`` — the vectorized
-Kahn peel only rules out the acyclic majority faster, and cyclic
-survivors are confirmed by the very scalar search the sweep would have
-run.  These tests sweep that promise over seeded random digraphs and
-the degenerate shapes (empty sets, self-loops, disjoint multi-cycles),
-then cover the recording path end to end: ``record_wait_deltas``
-snapshots taken during a real deadlocking run, the snapshot-order
-contract, :meth:`BugDetector.sweep_batch`, and the campaign-level
-:func:`audit_deadlocks` consistency verdicts.
+There is one cycle search, :func:`~repro.ptest.waitgraph.find_cycle_edges`,
+and a batch of edge sets — the ``wait_deltas`` a run records when
+``record_wait_deltas`` is on — is checked by running it on each set in
+turn.  These tests sweep that search over seeded random digraphs and
+the degenerate shapes (empty sets, self-loops, disjoint multi-cycles)
+against the networkx reference of :mod:`repro.automata.reference`,
+pin its order-independence and the detector's cycle → tids reduction,
+then cover the recording path end to end: snapshots taken during a
+real deadlocking run, the snapshot-order contract, and a reported
+deadlock checked against the snapshots that support it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import pytest
 
-from repro.automata.batch import NO_NUMPY_ENV, numpy_available
-from repro.errors import ConfigError
-from repro.ptest.batchdetect import (
-    DeadlockAudit,
-    audit_deadlocks,
-    cycle_tids_batch,
-    find_cycles_batch,
-)
-from repro.ptest.detector import Anomaly, AnomalyKind, BugDetector
+from repro.automata.reference import networkx_cycle_tids
+from repro.ptest.detector import AnomalyKind
 from repro.ptest.waitgraph import IncrementalWaitForGraph, find_cycle_edges
 from repro.workloads.scenarios import philosophers_case2
 
@@ -46,15 +39,46 @@ def random_edge_sets(seed: int, count: int) -> list[list[tuple[int, int]]]:
     return sets
 
 
+def cycle_tids(edges) -> tuple[int, ...] | None:
+    """The detector's reduction: sorted waiter tids of the first cycle."""
+    cycle = find_cycle_edges(edges)
+    if cycle is None:
+        return None
+    return tuple(sorted({waiter for waiter, _owner in cycle}))
+
+
+def reference_has_cycle(edges) -> bool:
+    rows = [(waiter, owner, "r") for waiter, owner in edges]
+    return networkx_cycle_tids(rows) is not None
+
+
+def assert_is_cycle_of(cycle, edges) -> None:
+    """``cycle`` is a closed walk made only of edges from ``edges``."""
+    assert cycle
+    assert set(cycle) <= set(edges)
+    for (_, owner), (waiter, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        assert owner == waiter
+
+
+def supporting_snapshots(tids, wait_deltas) -> list[int]:
+    """Ticks of the recorded snapshots whose cycle is exactly ``tids``."""
+    return [
+        tick for tick, edges in wait_deltas if cycle_tids(edges) == tids
+    ]
+
+
 class TestFindCyclesBatch:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
     def test_matches_scalar_on_random_digraphs(self, seed):
         sets = random_edge_sets(seed, 120)
-        expected = [find_cycle_edges(edges) for edges in sets]
-        assert find_cycles_batch(sets) == expected
-        # The screen must find work in both directions to mean much.
-        assert any(cycle is not None for cycle in expected)
-        assert any(cycle is None for cycle in expected)
+        found = [find_cycle_edges(edges) for edges in sets]
+        for edges, cycle in zip(sets, found):
+            assert (cycle is not None) == reference_has_cycle(edges)
+            if cycle is not None:
+                assert_is_cycle_of(cycle, edges)
+        # The sweep must meet both verdicts to mean much.
+        assert any(cycle is not None for cycle in found)
+        assert any(cycle is None for cycle in found)
 
     def test_degenerate_shapes(self):
         sets = [
@@ -65,32 +89,36 @@ class TestFindCyclesBatch:
             [(2, 1), (1, 2), (0, 1)],  # tail feeding a cycle
             [(-4, -3), (-3, -4)],  # negative node ids
         ]
-        expected = [find_cycle_edges(edges) for edges in sets]
-        assert find_cycles_batch(sets) == expected
-        assert expected[0] is None
-        assert expected[1] == [(3, 3)]
-        assert expected[2] is None
+        found = [find_cycle_edges(edges) for edges in sets]
+        assert found == [
+            None,
+            [(3, 3)],
+            None,
+            [(0, 1), (1, 0)],  # lowest root first
+            [(1, 2), (2, 1)],
+            [(-4, -3), (-3, -4)],
+        ]
+        for edges, cycle in zip(sets, found):
+            assert (cycle is not None) == reference_has_cycle(edges)
 
     def test_empty_batch_and_all_empty_sets(self):
-        assert find_cycles_batch([]) == []
-        assert find_cycles_batch([[], [], []]) == [None, None, None]
+        assert [find_cycle_edges(edges) for edges in []] == []
+        assert [find_cycle_edges(edges) for edges in ([], [], [])] == [
+            None,
+            None,
+            None,
+        ]
+        assert find_cycle_edges(iter(())) is None
 
     def test_scalar_fallback_is_identical(self):
-        sets = random_edge_sets(42, 60)
-        assert find_cycles_batch(sets, use_numpy=False) == (
-            find_cycles_batch(sets)
-        )
-
-    def test_env_var_falls_back_bit_identically(self, monkeypatch):
-        sets = random_edge_sets(43, 60)
-        expected = find_cycles_batch(sets)
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert find_cycles_batch(sets) == expected
-
-    def test_explicit_request_raises_without_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        with pytest.raises(ConfigError, match="find_cycles_batch"):
-            find_cycles_batch([[(0, 1)]], use_numpy=True)
+        """The search is a function of the edge *set*: any input order
+        yields the same cycle, so a snapshot recorded in another order
+        replays to the detector's verdict."""
+        rng = random.Random(42)
+        for edges in random_edge_sets(42, 60):
+            shuffled = list(edges)
+            rng.shuffle(shuffled)
+            assert find_cycle_edges(shuffled) == find_cycle_edges(edges)
 
     def test_cycle_tids_reduction(self):
         sets = [
@@ -98,10 +126,10 @@ class TestFindCyclesBatch:
             [(7, 3), (3, 7), (1, 7)],
             [(5, 5)],
         ]
-        assert cycle_tids_batch(sets) == [None, (3, 7), (5,)]
-        assert cycle_tids_batch(sets, use_numpy=False) == (
-            cycle_tids_batch(sets)
-        )
+        assert [cycle_tids(edges) for edges in sets] == [None, (3, 7), (5,)]
+        for edges in sets:
+            rows = [(waiter, owner, "r") for waiter, owner in edges]
+            assert cycle_tids(edges) == networkx_cycle_tids(rows)
 
 
 class TestSnapshotContract:
@@ -117,80 +145,37 @@ class TestSnapshotContract:
         snapshot = graph.snapshot()
         assert snapshot == ((1, 2), (2, 1), (3, 1))
         assert find_cycle_edges(snapshot) == graph.find_cycle()
-        assert find_cycles_batch([snapshot]) == [graph.find_cycle()]
-
-
-@dataclass
-class _FakeResult:
-    """The duck-typed slice of TestRunResult audit_deadlocks reads."""
-
-    anomalies: list
-    wait_deltas: tuple = ()
-
-
-def _deadlock_anomaly(tids: tuple[int, ...]) -> Anomaly:
-    return Anomaly(
-        kind=AnomalyKind.DEADLOCK,
-        detected_at=100,
-        description="test deadlock",
-        tids=tids,
-    )
+        assert graph.searches == 1
 
 
 class TestAuditDeadlocks:
+    """A reported deadlock checked against recorded snapshots."""
+
     def test_confirmed_when_a_snapshot_supports_the_report(self):
-        result = _FakeResult(
-            anomalies=[_deadlock_anomaly((1, 2))],
-            wait_deltas=(
-                (10, ((1, 2),)),
-                (20, ((1, 2), (2, 1))),
-            ),
+        wait_deltas = (
+            (10, ((1, 2),)),
+            (20, ((1, 2), (2, 1))),
         )
-        audit = audit_deadlocks([result])
-        assert audit == DeadlockAudit(
-            runs=1, snapshots=2, confirmed=1
-        )
-        assert audit.consistent
+        # Only the snapshot that closes the cycle supports the report.
+        assert supporting_snapshots((1, 2), wait_deltas) == [20]
 
     def test_unsupported_report_is_an_inconsistency(self):
-        result = _FakeResult(
-            anomalies=[_deadlock_anomaly((5, 6))],
-            wait_deltas=((10, ((1, 2), (2, 1))),),
-        )
-        audit = audit_deadlocks([result])
-        assert audit.confirmed == 0
-        assert audit.unsupported == [(0, (5, 6))]
-        assert not audit.consistent
-
-    def test_cycle_without_report_is_informational(self):
-        # Legitimate under the confirmation debounce: the cycle showed
-        # up in a delta but never survived long enough to report.
-        result = _FakeResult(
-            anomalies=[],
-            wait_deltas=((10, ((1, 2), (2, 1))),),
-        )
-        audit = audit_deadlocks([result])
-        assert audit.cyclic_without_report == 1
-        assert audit.consistent
-
-    def test_runs_without_recording_are_counted_but_empty(self):
-        audit = audit_deadlocks([_FakeResult(anomalies=[])])
-        assert audit == DeadlockAudit(runs=1, snapshots=0)
+        wait_deltas = ((10, ((1, 2), (2, 1))),)
+        # The search names the tasks really in the cycle, never a
+        # report the snapshots do not hold.
+        assert supporting_snapshots((5, 6), wait_deltas) == []
+        assert supporting_snapshots((1, 2), wait_deltas) == [10]
 
     def test_scalar_fallback_audit_is_identical(self):
-        results = [
-            _FakeResult(
-                anomalies=[_deadlock_anomaly((1, 2))],
-                wait_deltas=((10, ((1, 2), (2, 1))),),
-            ),
-            _FakeResult(
-                anomalies=[],
-                wait_deltas=((5, ((0, 1), (1, 2))),),
-            ),
+        snapshots = [
+            ((1, 2), (2, 1)),
+            ((0, 1), (1, 2)),
+            ((4, 4),),
+            (),
         ]
-        assert audit_deadlocks(results, use_numpy=False) == (
-            audit_deadlocks(results)
-        )
+        for edges in snapshots:
+            rows = [(waiter, owner, "r") for waiter, owner in edges]
+            assert cycle_tids(edges) == networkx_cycle_tids(rows)
 
 
 class TestEndToEndRecording:
@@ -220,24 +205,36 @@ class TestEndToEndRecording:
         ]
 
     def test_audit_confirms_the_reported_deadlock(self, deadlocked_run):
-        audit = audit_deadlocks([deadlocked_run])
-        assert audit.runs == 1
-        assert audit.snapshots == len(deadlocked_run.wait_deltas)
-        assert audit.confirmed == 1
-        assert audit.consistent
+        reported = [
+            anomaly.tids
+            for anomaly in deadlocked_run.anomalies
+            if anomaly.kind is AnomalyKind.DEADLOCK
+        ]
+        assert len(reported) == 1
+        support = supporting_snapshots(
+            reported[0], deadlocked_run.wait_deltas
+        )
+        assert support
+        # The report comes after the snapshot that first holds its cycle.
+        detected_at = next(
+            anomaly.detected_at
+            for anomaly in deadlocked_run.anomalies
+            if anomaly.kind is AnomalyKind.DEADLOCK
+        )
+        assert support[0] <= detected_at
 
     def test_sweep_batch_replays_the_recorded_deltas(self, deadlocked_run):
         snapshots = [edges for _tick, edges in deadlocked_run.wait_deltas]
-        tids = BugDetector.sweep_batch(snapshots)
-        assert tids == cycle_tids_batch(snapshots)
+        tids = [cycle_tids(edges) for edges in snapshots]
+        for edges, cycle in zip(snapshots, tids):
+            rows = [(waiter, owner, "r") for waiter, owner in edges]
+            assert (cycle is not None) == (
+                networkx_cycle_tids(rows) is not None
+            )
         reported = {
             anomaly.tids
             for anomaly in deadlocked_run.anomalies
             if anomaly.kind is AnomalyKind.DEADLOCK
         }
         found = {cycle for cycle in tids if cycle is not None}
-        assert reported <= found
-        if numpy_available():
-            assert BugDetector.sweep_batch(
-                snapshots, use_numpy=False
-            ) == tids
+        assert reported and reported <= found

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.automata.batch import numpy_available
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.ptest.campaign import Campaign
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
 from repro.ptest.spec import (
@@ -211,16 +210,6 @@ def test_round_result_wire_codec_round_trips():
             {"scenario": "x", "mode": "adapt", "pipeline": "grid_zoom"},
             "unbounded",
         ),
-        (
-            {
-                "scenario": "x",
-                "merge_batch": True,
-                "batch_sampling": False,
-            },
-            "silently disable"
-            if numpy_available()
-            else "needs numpy|numpy",
-        ),
     ],
 )
 def test_validate_rejects(kwargs, match):
@@ -234,6 +223,21 @@ def test_validate_runs_on_from_json_too():
     )
     with pytest.raises(ReproError, match="in-process"):
         CampaignSpec.from_json(payload)
+
+
+@pytest.mark.parametrize("key", ["batch_sampling", "merge_batch"])
+@pytest.mark.parametrize("value", [True, False, None])
+def test_removed_batch_knobs_are_rejected_by_name(key, value):
+    # The vectorized-sampling knobs are gone.  A spec that still sets
+    # one must fail loudly with the key named, never run as if the key
+    # had been dropped.
+    payload = {"scenario": "philosophers", "seeds": [0], key: value}
+    for parse in (
+        lambda: CampaignSpec.from_dict(payload),
+        lambda: CampaignSpec.from_json(json.dumps(payload)),
+    ):
+        with pytest.raises(ConfigError, match=f"unknown .*'{key}'"):
+            parse()
 
 
 def test_serial_quarantine_and_timeout_stay_legal():

@@ -1,39 +1,34 @@
-"""The array-native commit loop's bit-identity contract.
+"""The committer's commit loop against a deterministic echo bridge.
 
-:class:`~repro.ptest.committer.Committer` promises that walking an
-array-built :class:`~repro.ptest.patterns.MergedPattern` by column
-cursor produces *exactly* the run the classic
-:class:`~repro.ptest.patterns.PatternCommand` walk produces — same
-requests in the same order, same replies, same state records, same
-traces, same stall/retry behaviour — while never materialising the
-command list.  These tests sweep that promise over the op × lockstep ×
-noise × mailbox-stall matrix against a deterministic echo bridge, in
-both numpy and ``REPRO_NO_NUMPY`` modes, then cover the satellites
-around it: the recorder's no-materialisation hot path, the worker-side
-:class:`~repro.ptest.generator.SharedMergeBatch` dispatch (rounds
-bit-identical to per-cell merges under any consumption interleaving),
-and end-to-end campaign/table row identity with ``merge_batch`` on,
-off and auto.
+:class:`~repro.ptest.committer.Committer` walks a merged pattern's
+:class:`~repro.ptest.patterns.PatternCommand` list by cursor.  These
+tests pin that walk over the op × lockstep × noise × mailbox-stall
+matrix without the simulated cores in the loop: every command issues
+exactly once and in merged order, a full mailbox stalls and retries
+the same command, an unknown symbol fails at the step that reaches it,
+and the recorder's Definition 2 records carry the pattern's values.
+Around it: worker-side batches and campaigns give the same rows as
+direct runs at every merge op, with numpy unimportable too, and the
+removed ``merge_batch`` knob is rejected rather than ignored.
 """
 
 from __future__ import annotations
 
+import pickle
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.automata.batch import (
-    NO_NUMPY_ENV,
-    BatchSampler,
-    numpy_available,
-)
-from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.pcore.services import ServiceCode, ServiceResult, ServiceStatus
 from repro.ptest.campaign import Campaign
 from repro.ptest.committer import Committer
-from repro.ptest.executor import CellExecutor, WorkCell
-from repro.ptest.generator import SharedMergeBatch, SharedPatternBatch
+from repro.ptest.executor import CellExecutor
+from repro.ptest.generator import PatternGenerator
 from repro.ptest.merger import PatternMerger
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
 from repro.ptest.pcore_model import pcore_pfa
@@ -47,14 +42,7 @@ from repro.ptest.recording import ProcessStateRecorder, StateRecord
 from repro.sim.trace import Tracer
 from repro.workloads.registry import scenario_ref
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="needs numpy for array-built merges"
-)
-
-
-@pytest.fixture(scope="module")
-def compiled() -> CompiledPFA:
-    return CompiledPFA.from_pfa(pcore_pfa())
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class EchoBridge:
@@ -118,7 +106,6 @@ class EchoBridge:
 
 
 def build_merged(
-    compiled: CompiledPFA,
     op: str,
     slot: int,
     per_merge: int = 4,
@@ -126,35 +113,11 @@ def build_merged(
     chunk: int = 3,
     merge_seed: int = 77,
 ) -> MergedPattern:
-    """One deterministic merge per ``(op, slot)`` — array-built with
-    numpy, eager (scalar-sampled, scalar-merged) without."""
-    seeds = [(1 << 40) + 7919 * slot + index for index in range(per_merge)]
-    batch = BatchSampler(compiled, seeds, on_final="restart").sample_batch(
-        size
+    """One deterministic merge of ``per_merge`` Fig. 5 walks."""
+    generator = PatternGenerator.from_pfa(
+        pcore_pfa(), seed=(1 << 40) + 7919 * slot, on_final="restart"
     )
-    patterns = []
-    for pattern_id in range(per_merge):
-        row = batch.row(pattern_id)
-        if row is None:
-            drawn = batch.pattern(pattern_id)
-            patterns.append(
-                TestPattern(
-                    pattern_id=pattern_id,
-                    symbols=drawn.symbols,
-                    states=drawn.states,
-                    log_probability=drawn.log_probability,
-                )
-            )
-        else:
-            patterns.append(
-                TestPattern.from_ids(
-                    pattern_id=pattern_id,
-                    symbol_ids=row.symbol_ids,
-                    alphabet=row.alphabet,
-                    state_ids=row.state_ids,
-                    log_probability=row.log_probability,
-                )
-            )
+    patterns = generator.generate_batch(per_merge, size)
     return PatternMerger(op=op, seed=merge_seed, chunk=chunk).merge(patterns)
 
 
@@ -183,68 +146,46 @@ def drive(
     return committer
 
 
-def assert_runs_identical(column_merged, eager_merged, **drive_kw):
-    """Drive both walks and assert every observable is bit-identical;
-    the column walk must finish with ``commands`` unmaterialised."""
-    runs = {}
-    for label, merged in (
-        ("column", column_merged),
-        ("command", eager_merged),
-    ):
-        recorder = ProcessStateRecorder()
-        tracer = Tracer()
-        committer = drive(
-            merged, recorder=recorder, tracer=tracer, **drive_kw
-        )
-        runs[label] = (committer, recorder, tracer)
-    column, column_rec, column_tr = runs["column"]
-    command, command_rec, command_tr = runs["command"]
-    assert column.results == command.results
-    assert column.error_results == command.error_results
-    assert (
-        column.issued,
-        column.cursor,
-        column.steps,
-        column.stall_events,
-    ) == (
-        command.issued,
-        command.cursor,
-        command.steps,
-        command.stall_events,
-    )
-    assert column_rec.snapshot_columns() == command_rec.snapshot_columns()
-    assert column_rec.snapshot() == command_rec.snapshot()
-    assert column_tr.dump() == command_tr.dump()
-    assert column_merged._commands is None, (
-        "column walk materialised the command list"
-    )
-    return column
 
 
-@requires_numpy
+def assert_walk_in_order(merged: MergedPattern, **drive_kw) -> Committer:
+    """Drive ``merged`` and assert every command issued exactly once,
+    in merged order, with each pair's record at its pattern's end."""
+    recorder = ProcessStateRecorder()
+    tracer = Tracer()
+    committer = drive(merged, recorder=recorder, tracer=tracer, **drive_kw)
+    commits = [
+        event.payload
+        for event in tracer.events
+        if event.payload.get("event") == "commit"
+    ]
+    assert [c["position"] for c in commits] == list(range(len(merged)))
+    assert [(c["symbol"], c["pair"]) for c in commits] == [
+        (command.symbol, command.pattern_id) for command in merged
+    ]
+    assert committer.issued == committer.cursor == len(merged)
+    assert len(committer.results) == committer.issued
+    for pair, count in merged.per_pattern_counts().items():
+        assert recorder.record(pair).sequence_number == count
+    return committer
+
+
 class TestColumnWalkEquivalence:
-    """Array-merged column walk vs the PatternCommand reference walk."""
+    """The committer's cursor walk vs the merged order it must follow."""
 
     @pytest.mark.parametrize("op", ["round_robin", "cyclic"])
     @pytest.mark.parametrize(
         "lockstep", [True, False], ids=["lockstep", "fire-and-forget"]
     )
-    @pytest.mark.parametrize("noise_ticks", [0, 3], ids=["quiet", "noisy"])
+    @pytest.mark.parametrize("noise_ticks", [0, 2], ids=["quiet", "noisy"])
     @pytest.mark.parametrize(
         "bridge_kw",
         [{}, {"capacity": 1, "reply_delay": 1}],
         ids=["roomy-mailbox", "stalling-mailbox"],
     )
-    def test_matrix(self, compiled, op, lockstep, noise_ticks, bridge_kw):
-        column = build_merged(compiled, op, slot=5)
-        twin = build_merged(compiled, op, slot=5)
-        assert column.pattern_ids is not None
-        eager = MergedPattern(
-            commands=twin.commands, op=twin.op, sources=twin.sources
-        )
-        committer = assert_runs_identical(
-            column,
-            eager,
+    def test_matrix(self, op, lockstep, noise_ticks, bridge_kw):
+        committer = assert_walk_in_order(
+            build_merged(op, slot=5),
             bridge_kw=bridge_kw,
             lockstep=lockstep,
             noise_ticks=noise_ticks,
@@ -253,114 +194,64 @@ class TestColumnWalkEquivalence:
             # The tight mailbox must actually exercise stall/retry.
             assert committer.stall_events > 0
 
-    def test_fallback_walk_matches_under_env_mask(
-        self, compiled, monkeypatch
-    ):
-        """`REPRO_NO_NUMPY` runs sample, merge and commit on the scalar
-        plane — the whole pipeline must still be bit-identical."""
-        column = build_merged(compiled, "cyclic", slot=9)
-        assert column.pattern_ids is not None
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        fallback = build_merged(compiled, "cyclic", slot=9)
-        assert fallback.pattern_ids is None
-        assert_runs_identical(column, fallback, lockstep=False)
-
 
 class TestHandBuiltColumns:
-    """Column walks over hand-built ``from_arrays`` merges — plain-list
-    columns, so these run (and exercise the cursor walk) even on the
-    no-numpy CI leg."""
+    """Walks over hand-built merges, independent of the generator and
+    the merger."""
 
     ALPHABET = ("TC", "TS", "TR", "TD")
 
-    def _hand_built(self) -> tuple[MergedPattern, MergedPattern]:
-        ids = list(range(len(self.ALPHABET)))
+    def _hand_built(self) -> MergedPattern:
         pattern_ids = [0, 1, 0, 1, 0, 1, 0, 1]
-        symbol_ids = [0, 0, 1, 1, 2, 2, 3, 3]
         sequences = [1, 1, 2, 2, 3, 3, 4, 4]
-
-        def sources():
-            return [
-                TestPattern.from_ids(
-                    pattern_id=pair, symbol_ids=ids, alphabet=self.ALPHABET
-                )
-                for pair in (0, 1)
-            ]
-
-        column = MergedPattern.from_arrays(
-            op="round_robin",
-            sources=sources(),
-            pattern_ids=pattern_ids,
-            sequences=sequences,
-            symbol_ids=symbol_ids,
-            alphabet=self.ALPHABET,
-        )
         commands = [
             PatternCommand(
-                symbol=self.ALPHABET[symbol_id],
+                symbol=self.ALPHABET[sequence - 1],
                 pattern_id=pattern_id,
                 sequence_in_pattern=sequence,
                 position=position,
             )
-            for position, (pattern_id, sequence, symbol_id) in enumerate(
-                zip(pattern_ids, sequences, symbol_ids)
+            for position, (pattern_id, sequence) in enumerate(
+                zip(pattern_ids, sequences)
             )
         ]
-        eager = MergedPattern(
-            commands=commands, op="round_robin", sources=sources()
+        sources = [
+            TestPattern(pattern_id=pair, symbols=self.ALPHABET)
+            for pair in (0, 1)
+        ]
+        merged = MergedPattern(
+            commands=commands, op="round_robin", sources=sources
         )
-        return column, eager
+        merged.validate()
+        return merged
 
     @pytest.mark.parametrize(
         "lockstep", [True, False], ids=["lockstep", "fire-and-forget"]
     )
     def test_walks_match(self, lockstep):
-        column, eager = self._hand_built()
-        assert_runs_identical(column, eager, lockstep=lockstep)
+        assert_walk_in_order(self._hand_built(), lockstep=lockstep)
 
     def test_stall_retry_and_done_never_materialise(self):
-        """Satellite regression: a full run including mailbox stalls —
-        stalled-step retry and the ``done`` check included — reads only
-        cursor state, never the command list or the source tuples."""
-        column, eager = self._hand_built()
-        committer = assert_runs_identical(
-            column,
-            eager,
+        """A full mailbox stalls the walk; the stalled command is
+        retried, never skipped or issued twice, and ``done`` holds only
+        once every command has issued."""
+        committer = assert_walk_in_order(
+            self._hand_built(),
             bridge_kw={"capacity": 1, "reply_delay": 1},
             lockstep=False,
         )
         assert committer.stall_events > 0
-        assert column._commands is None
-        # A fresh run driven alone (the record-equality comparison
-        # above materialises tuples through StateRecord.__eq__): a
-        # clean stall-and-retry run touches neither the command list
-        # nor any source pattern's symbol tuple.
-        fresh, _ = self._hand_built()
-        recorder = ProcessStateRecorder()
-        drive(
-            fresh,
-            bridge_kw={"capacity": 1, "reply_delay": 1},
-            lockstep=False,
-            recorder=recorder,
-        )
-        assert recorder.snapshot_columns()[2] == [0, 0]
-        assert fresh._commands is None
-        assert all(
-            source._symbols is None for source in fresh.sources
-        ), "a clean run materialised a source pattern's symbol tuple"
+        assert committer.done
 
     def test_unknown_symbol_raises_at_the_step_reached(self):
-        alphabet = ("TC", "XQ")
-        source = TestPattern.from_ids(
-            pattern_id=0, symbol_ids=[0, 1], alphabet=alphabet
-        )
-        merged = MergedPattern.from_arrays(
+        source = TestPattern(pattern_id=0, symbols=("TC", "XQ"))
+        merged = MergedPattern(
+            commands=[
+                PatternCommand("TC", 0, 1, 0),
+                PatternCommand("XQ", 0, 2, 1),
+            ],
             op="round_robin",
             sources=[source],
-            pattern_ids=[0, 0],
-            sequences=[1, 2],
-            symbol_ids=[0, 1],
-            alphabet=alphabet,
         )
         committer = Committer(
             bridge=EchoBridge(), merged=merged, lockstep=False
@@ -374,36 +265,12 @@ class TestHandBuiltColumns:
 
 
 class TestRecorderLaziness:
-    """Satellite regression: the snapshot hot path must not re-
-    materialise tuples on lazy array-backed patterns."""
-
-    ALPHABET = ("TC", "TS", "TR", "TD")
-
-    def test_recording_stays_on_the_id_plane(self):
-        pattern = TestPattern.from_ids(
-            pattern_id=0, symbol_ids=[0, 1, 2, 3], alphabet=self.ALPHABET
-        )
-        recorder = ProcessStateRecorder()
-        recorder.register_pair(pattern)
-        recorder.note_issue(0, "m0.1")
-        recorder.note_slave_state(0, "s:ready", tid=3)
-        record = recorder.record(0)
-        snapshot = recorder.snapshot()
-        assert recorder.snapshot_columns() == ([0], [1], [3])
-        assert pattern._symbols is None, (
-            "record()/snapshot() forced the pattern's symbol tuple"
-        )
-        assert record._pattern is None and record._remaining is None
-        assert all(
-            r._pattern is None and r._remaining is None for r in snapshot
-        )
-
     def test_lazy_record_equals_its_eager_twin(self):
-        pattern = TestPattern.from_ids(
-            pattern_id=0, symbol_ids=[0, 1, 2, 3], alphabet=self.ALPHABET
-        )
+        """The recorder's Definition 2 record equals one built by hand
+        from the pattern and the noted states."""
+        symbols = ("TC", "TS", "TR", "TD")
         recorder = ProcessStateRecorder()
-        recorder.register_pair(pattern)
+        recorder.register_pair(TestPattern(pattern_id=0, symbols=symbols))
         recorder.note_issue(0, "m0.1")
         recorder.note_slave_state(0, "s:ready")
         record = recorder.record(0)
@@ -411,152 +278,57 @@ class TestRecorderLaziness:
             pair_id=0,
             master_state="m0.1",
             slave_state="s:ready",
-            pattern=self.ALPHABET,
+            pattern=symbols,
             sequence_number=1,
             remaining=("TS", "TR", "TD"),
         )
         assert record == eager
         assert hash(record) == hash(eager)
         assert record.describe() == eager.describe()
-        # Reading materialises (and caches) exactly the eager values.
-        assert record.pattern == self.ALPHABET
-        assert record.remaining == ("TS", "TR", "TD")
+        assert recorder.snapshot() == [eager]
 
 
-class TestSharedMergeBatch:
-    """The worker-side cross-cell merge dispatch."""
+def _worker_table():
+    refs = [scenario_ref("clean_spin", tasks=2, total_steps=40)] * 4 + [
+        scenario_ref("philosophers", op=op)
+        for op in ("cyclic", "round_robin", "random")
+    ]
+    seeds = [0, 1, 2, 3, 10, 11, 12]
+    return refs, seeds
 
-    def test_interleaved_cells_match_their_own_merges(self, compiled):
-        seeds = (2**40 + 5, 11, -(2**35))
-        merger_seeds = (301, 302, 303)
-        size, count, op, chunk = 8, 3, "cyclic", 2
-        shared = SharedPatternBatch(pfa=compiled, seeds=seeds, size=size)
-        merges = SharedMergeBatch(
-            shared=shared,
-            merger_seeds=merger_seeds,
-            op=op,
-            chunk=chunk,
-            pattern_count=count,
-        )
-        streams = [merges.stream(cell) for cell in range(len(seeds))]
-        # Reference: each cell samples its own stream and merges its
-        # own rounds under its own merger seed.
-        reference = SharedPatternBatch(pfa=compiled, seeds=seeds, size=size)
-        ref_streams = [reference.stream(cell) for cell in range(len(seeds))]
-        order = [0, 0, 2, 1, 0, 1, 2]
-        expected = {
-            cell: [
-                PatternMerger(
-                    op=op, seed=merger_seeds[cell], chunk=chunk
-                ).merge(ref_streams[cell].generate_batch(count, size))
-                for _ in range(order.count(cell))
-            ]
-            for cell in range(len(seeds))
-        }
-        progress = {cell: 0 for cell in range(len(seeds))}
-        # Drain in a deliberately unfair order: each cell's merges must
-        # equal its own generate+merge sequence regardless.
-        for cell in order:
-            merged = streams[cell].next_merged()
-            want = expected[cell][progress[cell]]
-            assert merged == want
-            assert merged.describe() == want.describe()
-            progress[cell] += 1
-        assert [stream.rounds for stream in streams] == [
-            order.count(cell) for cell in range(len(seeds))
-        ]
 
-    def test_prime_premerges_without_changing_output(self, compiled):
-        seeds = (2**40 + 5, 11)
+#: Runs one worker-side batch in a fresh interpreter where importing
+#: numpy fails, and writes the pickled rows to stdout.
+NUMPY_BLOCKED = '''
+import pickle
+import sys
 
-        def fresh():
-            return SharedMergeBatch(
-                shared=SharedPatternBatch(pfa=compiled, seeds=seeds, size=6),
-                merger_seeds=(41, 42),
-                op="round_robin",
-                chunk=1,
-                pattern_count=2,
-            )
 
-        primed, lazy = fresh(), fresh()
-        primed.prime(2)
-        for cell in range(len(seeds)):
-            for _ in range(3):
-                assert primed.next_merged(cell) == lazy.next_merged(cell)
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+        return None
 
-    def test_validation(self, compiled):
-        shared = SharedPatternBatch(pfa=compiled, seeds=(1, 2), size=4)
-        with pytest.raises(ConfigError, match="pattern count must be >= 1"):
-            SharedMergeBatch(
-                shared=shared,
-                merger_seeds=(1, 2),
-                op="round_robin",
-                chunk=1,
-                pattern_count=0,
-            )
-        with pytest.raises(
-            ConfigError, match="2 cells but 3 merger seeds"
-        ):
-            SharedMergeBatch(
-                shared=shared,
-                merger_seeds=(1, 2, 3),
-                op="round_robin",
-                chunk=1,
-                pattern_count=1,
-            )
 
-    def test_merge_batch_seed_count_mismatch(self):
-        merger = PatternMerger(op="round_robin", seed=1, chunk=1)
-        group = [TestPattern(pattern_id=0, symbols=("TC",))]
-        with pytest.raises(ConfigError, match="1 groups but 2 seeds"):
-            merger.merge_batch([group], seeds=(5, 6))
+sys.meta_path.insert(0, BlockNumpy())
 
-    def test_stream_matches_guard(self, compiled):
-        shared = SharedPatternBatch(pfa=compiled, seeds=(21, 22), size=5)
-        merges = SharedMergeBatch(
-            shared=shared,
-            merger_seeds=(7, 8),
-            op="cyclic",
-            chunk=2,
-            pattern_count=3,
-        )
-        stream = merges.stream(0)
-        good = PatternMerger(op="cyclic", seed=7, chunk=2)
-        pfa = shared.sampler.compiled
-        assert stream.matches(pfa, 21, good, 3, 5)
-        # Every parameter that feeds the merge must agree.
-        assert not stream.matches(pfa, 22, good, 3, 5)
-        other = CompiledPFA.from_pfa(pcore_pfa())
-        assert not stream.matches(other, 21, good, 3, 5)
-        assert not stream.matches(pfa, 21, replace(good, seed=8), 3, 5)
-        assert not stream.matches(
-            pfa, 21, replace(good, op="round_robin"), 3, 5
-        )
-        assert not stream.matches(pfa, 21, replace(good, chunk=3), 3, 5)
-        assert not stream.matches(pfa, 21, good, 2, 5)
-        assert not stream.matches(pfa, 21, good, 3, 6)
+from repro.ptest.pool import make_batch_table, run_table_batch
+from repro.workloads.registry import scenario_ref
 
-    def test_harness_ignores_mismatched_merge_stream(self, compiled):
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        plain = ref(5).run()
-        test = ref(5)
-        merges = SharedMergeBatch(
-            shared=SharedPatternBatch(pfa=compiled, seeds=(5,), size=4),
-            merger_seeds=(6,),
-            op="round_robin",
-            chunk=1,
-            pattern_count=1,
-        )
-        stream = merges.stream(0)
-        test.merge_override = stream
-        # The guard rejects the foreign automaton; the run falls back
-        # to its own generate+merge, bit-identically, consuming nothing.
-        assert test.run() == plain
-        assert stream.rounds == 0
+refs = [scenario_ref("clean_spin", tasks=2, total_steps=40)] * 4 + [
+    scenario_ref("philosophers", op=op)
+    for op in ("cyclic", "round_robin", "random")
+]
+table, jobs = make_batch_table(refs, [0, 1, 2, 3, 10, 11, 12])
+rows = run_table_batch(table, jobs)
+assert "numpy" not in sys.modules
+sys.stdout.buffer.write(pickle.dumps(rows))
+'''
 
 
 class TestWorkerMergeBatch:
-    """`run_table_batch`'s merge_batch knob, in process."""
+    """`run_table_batch`, the worker-side merge-and-run, in process."""
 
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
@@ -564,59 +336,37 @@ class TestWorkerMergeBatch:
         yield
         clear_worker_cache()
 
-    def _table(self):
-        refs = [scenario_ref("clean_spin", tasks=2, total_steps=40)] * 4 + [
-            scenario_ref("philosophers", op="cyclic")
-        ] * 3
-        seeds = [0, 1, 2, 3, 10, 11, 12]
-        return make_batch_table(refs, seeds)
-
     def test_rows_identical_across_merge_batch_settings(self):
-        table, jobs = self._table()
-        baseline = run_table_batch(table, jobs, None, False)
-        settings = [False, None]
-        if numpy_available():
-            settings.append(True)
-        for merge_batch in settings:
-            clear_worker_cache()
-            assert run_table_batch(table, jobs, None, merge_batch) == (
-                baseline
-            ), f"rows diverged at merge_batch={merge_batch}"
+        """Worker batches equal direct runs, cold cache and warm, and
+        whatever the merge op of each cell."""
+        refs, seeds = _worker_table()
+        direct = [ref(seed).run() for ref, seed in zip(refs, seeds)]
+        table, jobs = make_batch_table(refs, seeds)
+        assert len(table) == 4  # the clean_spin ref deduplicates
+        cold = run_table_batch(table, jobs)
+        assert cold == direct
+        assert run_table_batch(table, jobs) == cold
 
-    def test_sampling_off_disables_merge_batching(self):
-        table, jobs = self._table()
-        sampling_off = run_table_batch(table, jobs, False, None)
-        clear_worker_cache()
-        assert sampling_off == run_table_batch(table, jobs, None, False)
+    def test_rows_identical_with_numpy_masked(self):
+        """End to end across the whole pipeline: sampling, merging and
+        committing in an interpreter that cannot import numpy give the
+        same rows bit for bit."""
+        refs, seeds = _worker_table()
+        table, jobs = make_batch_table(refs, seeds)
+        expected = run_table_batch(table, jobs)
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(NUMPY_BLOCKED)],
+            capture_output=True,
+            env={"PYTHONPATH": str(SRC), "PATH": ""},
+            timeout=300,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert pickle.loads(done.stdout) == expected
 
-    def test_explicit_merge_batch_requires_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        table, jobs = self._table()
-        with pytest.raises(
-            ConfigError, match=r"run_table_batch\(merge_batch=True\)"
-        ):
-            run_table_batch(table, jobs, None, True)
-
-    def test_executor_rejects_explicit_merge_batch(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        executor = CellExecutor(workers=2, merge_batch=True)
-        builders = {"spin": scenario_ref("clean_spin", tasks=2)}
-        cells = [WorkCell(variant="spin", seed=0)]
-        with pytest.raises(
-            ConfigError, match=r"CellExecutor\(merge_batch=True\)"
-        ):
-            executor.run_cells(builders, cells)
-
-    @requires_numpy
-    def test_rows_identical_with_numpy_masked(self, monkeypatch):
-        """End to end across the whole pipeline: scalar sampling,
-        scalar merges and the committer's fallback walk must reproduce
-        the array plane's rows bit for bit."""
-        table, jobs = self._table()
-        unmasked = run_table_batch(table, jobs)
-        clear_worker_cache()
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert run_table_batch(table, jobs) == unmasked
+    def test_executor_rejects_explicit_merge_batch(self):
+        with pytest.raises(TypeError, match="merge_batch"):
+            CellExecutor(workers=2, merge_batch=True)
 
 
 class TestCampaignMergeBatchIdentity:
@@ -626,32 +376,26 @@ class TestCampaignMergeBatchIdentity:
         yield
         shutdown_pools()
 
-    def _campaign(self, workers, merge_batch=None):
-        campaign = Campaign(
-            seeds=(0, 1, 2), workers=workers, merge_batch=merge_batch
-        )
+    def _campaign(self, workers):
+        campaign = Campaign(seeds=(0, 1, 2), workers=workers)
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
-        campaign.add_scenario("phil", "philosophers", op="cyclic")
+        campaign.add_grid(
+            "phil", "philosophers", {"op": ("cyclic", "round_robin", "random")}
+        )
         return campaign
 
     def test_rows_identical_at_every_merge_setting(self):
-        baseline = self._campaign(workers=1, merge_batch=False)
+        baseline = self._campaign(workers=1)
         rows = baseline.run()
-        configs = [(2, None), (2, False)]
-        if numpy_available():
-            configs.append((2, True))
-        for workers, merge_batch in configs:
-            campaign = self._campaign(workers, merge_batch)
-            assert campaign.run() == rows, (
-                f"rows diverged at workers={workers}, "
-                f"merge_batch={merge_batch}"
-            )
-            for variant in baseline.results:
-                expected = baseline.results[variant]
-                actual = campaign.results[variant]
-                assert [r.found_bug for r in actual] == [
-                    r.found_bug for r in expected
-                ]
-                assert [
-                    [a.kind for a in r.anomalies] for r in actual
-                ] == [[a.kind for a in r.anomalies] for r in expected]
+        assert len(rows) == 4  # spin + one row per merge op
+        campaign = self._campaign(workers=2)
+        assert campaign.run() == rows
+        for variant in baseline.results:
+            expected = baseline.results[variant]
+            actual = campaign.results[variant]
+            assert [r.found_bug for r in actual] == [
+                r.found_bug for r in expected
+            ]
+            assert [
+                [a.kind for a in r.anomalies] for r in actual
+            ] == [[a.kind for a in r.anomalies] for r in expected]

@@ -67,14 +67,6 @@ def test_pipeline_sweep():
     assert "prewarmed 4 ref(s)" in output
 
 
-def test_batch_sampling():
-    output = run_example("batch_sampling.py")
-    assert "bit-identical to 256 scalar samplers" in output
-    assert "scalar fallback (use_numpy=False): same patterns" in output
-    assert "wait-graph delta(s) recorded" in output
-    assert "re-confirmed from recorded deltas (consistent=True)" in output
-
-
 @pytest.mark.slow
 def test_stress_pcore():
     output = run_example("stress_pcore.py", "1")

@@ -235,6 +235,29 @@ def test_invalid_spec_payload_is_config_error_frame(server):
     assert "workers" in frame["message"]
 
 
+@pytest.mark.parametrize("key", ["batch_sampling", "merge_batch"])
+def test_removed_spec_keys_are_config_error_frames(server, key):
+    # A client still sending a retired knob gets an error frame naming
+    # it; the server stays up and settles back to idle.
+    with Client(*server.address) as client:
+        client._send(
+            {
+                "op": "run",
+                "id": "old1",
+                "spec": {"scenario": "philosophers", "seeds": [0], key: True},
+            }
+        )
+        frame = client._recv()
+        assert frame["type"] == "error"
+        assert frame["kind"] == "config"
+        assert repr(key) in frame["message"]
+        assert client.ping()
+        status = client.status()
+    assert status["active"] == 0
+    assert status["queue_depth"] == 0
+    assert status["draining"] is False
+
+
 def test_malformed_json_keeps_connection_alive(server):
     with socket.create_connection(server.address, timeout=30) as sock:
         reader = sock.makefile("rb")
