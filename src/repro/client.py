@@ -78,7 +78,6 @@ class RemoteOutcome:
     rounds: tuple[RoundResult, ...]
     stopped_early: bool = False
     pool_ids: tuple[int | None, ...] = ()
-    prewarmed_refs: int = 0
     resumed_rounds: int = 0
     rounds_budget: int = 0
     schedule: str = ""
@@ -267,7 +266,6 @@ class Client:
                     rounds=tuple(rounds),
                     stopped_early=frame.get("stopped_early", False),
                     pool_ids=tuple(frame.get("pool_ids", ())),
-                    prewarmed_refs=frame.get("prewarmed_refs", 0),
                     resumed_rounds=frame.get("resumed_rounds", 0),
                     rounds_budget=frame.get("rounds_budget", len(rounds)),
                     schedule=frame.get("schedule", ""),

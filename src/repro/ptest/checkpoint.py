@@ -43,7 +43,8 @@ if TYPE_CHECKING:
     from repro.ptest.adaptive import RefinePolicy, RoundObservation
     from repro.ptest.executor import ScenarioBuilder
 
-#: Bumped whenever the payload layout changes; a mismatch on load is a
+#: Bumped whenever a key this build reads changes or disappears (keys
+#: it does not read are ignored); a mismatch on load is a
 #: :class:`~repro.errors.CheckpointError`, never a silent misread.
 CHECKPOINT_VERSION = 1
 
@@ -93,8 +94,8 @@ class CampaignCheckpoint:
     """Atomic load/save of one adaptive campaign's round progress.
 
     The payload is a plain dict —
-    ``{"version", "fingerprint", "observations", "prewarmed_refs",
-    "stopped_early", "finished"}`` — pickled because observations carry
+    ``{"version", "fingerprint", "observations", "stopped_early",
+    "finished"}`` — pickled because observations carry
     :class:`~repro.workloads.registry.ScenarioRef` /
     :class:`~repro.ptest.replay.ReplayRef` variants (the same values
     the worker-pool wire format ships).  Variants that cannot pickle
@@ -151,7 +152,6 @@ class CampaignCheckpoint:
         *,
         fingerprint: str,
         observations: "list[RoundObservation]",
-        prewarmed_refs: int,
         stopped_early: bool,
         finished: bool,
     ) -> None:
@@ -160,7 +160,6 @@ class CampaignCheckpoint:
             "version": CHECKPOINT_VERSION,
             "fingerprint": fingerprint,
             "observations": list(observations),
-            "prewarmed_refs": prewarmed_refs,
             "stopped_early": stopped_early,
             "finished": finished,
         }

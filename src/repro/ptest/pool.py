@@ -62,7 +62,7 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
@@ -117,7 +117,6 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._pool_id: int | None = None
         self._spawns = 0
-        self._prewarmed_refs = 0
         self._closed = False
         self._lock = threading.Lock()
         self._registry_version: int | None = None
@@ -131,11 +130,6 @@ class WorkerPool:
     def spawns(self) -> int:
         """How many executors this pool has created (respawns included)."""
         return self._spawns
-
-    @property
-    def prewarmed_refs(self) -> int:
-        """Distinct cache keys shipped by :meth:`prewarm` so far."""
-        return self._prewarmed_refs
 
     @property
     def closed(self) -> bool:
@@ -270,67 +264,6 @@ class WorkerPool:
         """
         return self.submit(_pong).result() is True
 
-    def prewarm(
-        self, builders: Iterable[Any], wait: bool = False
-    ) -> int:
-        """Ship upcoming builders' cache keys to the workers, ahead of
-        the batches that will need them.
-
-        The cross-round warming lever: an adaptive campaign knows the
-        *next* round's variants as soon as its policy refines, so it
-        ships the distinct portable refs here (one deduped table, the
-        batch wire format minus the seeds) and every worker resolves,
-        validates and compiles them — via :func:`prewarm_table`, into
-        the same per-process cache real batches read — while the parent
-        is still building the next round's campaign.  Round N+1's first
-        cells then start against hot caches instead of paying
-        resolution/compilation inside the round.
-
-        Strictly best-effort and advisory: entries without a
-        ``cache_key``, refs bound to a custom registry, and unpicklable
-        payloads are skipped (the real dispatch raises its usual
-        explicit errors for those), worker-side resolution failures are
-        swallowed (ditto), and nothing here can change any cell's
-        result — the worker cache is equality-checked before reuse.
-        One prewarm task is submitted per worker process, but the
-        executor's shared call queue does not pin tasks to processes,
-        so coverage is best-effort too: an eager worker may drain
-        several tasks while a slow-forking sibling gets none, and a
-        worker left cold simply pays resolution inside its first real
-        batch, exactly as it would have without pre-warming.  With
-        ``wait=False`` (the default) the tasks run concurrently with
-        whatever the caller does next.  Returns how many distinct cache
-        keys were shipped (0 = nothing warmable, nothing submitted).
-        """
-        table: list[Any] = []
-        seen: set[tuple] = set()
-        for builder in builders:
-            key = getattr(builder, "cache_key", None)
-            if key is None or key in seen:
-                continue
-            try:
-                pickle.dumps(builder)
-            except Exception:
-                continue  # real dispatch raises the explicit ConfigError
-            seen.add(key)
-            table.append(builder)
-        if not table:
-            return 0
-        futures = [
-            self.submit(prewarm_table, tuple(table))
-            for _ in range(self.workers)
-        ]
-        self._prewarmed_refs += len(table)
-        for future in futures:
-            if wait:
-                try:
-                    future.result()
-                except Exception:
-                    pass  # advisory: the round's own dispatch reports
-            else:
-                future.add_done_callback(_consume_prewarm_outcome)
-        return len(table)
-
     def close(self, wait: bool = True) -> None:
         """Shut the pool down; further submissions raise.
 
@@ -374,21 +307,6 @@ def _pong() -> bool:
     return True
 
 
-def _consume_prewarm_outcome(future: Future) -> None:
-    """Drain a fire-and-forget prewarm future's outcome.
-
-    Prewarming is advisory, so its failures (a worker death, a stale
-    registry) are not errors here — the round's real submissions hit
-    the same condition and report it through the executor's existing
-    respawn/resubmit machinery.  Consuming the exception just keeps the
-    interpreter from logging "exception was never retrieved" noise.
-    """
-    try:
-        future.result()
-    except Exception:
-        pass
-
-
 # -- shared pools --------------------------------------------------------------
 
 _SHARED: dict[int, WorkerPool] = {}
@@ -424,7 +342,7 @@ def pool_telemetry() -> list[dict[str, Any]]:
     """Observability snapshot of every registered shared pool.
 
     One JSON-safe mapping per pool — worker width, live ``pool_id``
-    (``None`` while cold), ``spawns`` count and prewarmed-ref total —
+    (``None`` while cold) and ``spawns`` count —
     for status endpoints (``repro serve``) and dashboards.  ``spawns``
     staying at 1 per width is how a server process certifies the
     one-pool-per-worker-count invariant.
@@ -436,7 +354,6 @@ def pool_telemetry() -> list[dict[str, Any]]:
             "workers": workers,
             "pool_id": pool.pool_id,
             "spawns": pool.spawns,
-            "prewarmed_refs": pool.prewarmed_refs,
             "closed": pool.closed,
         }
         for workers, pool in pools
@@ -587,58 +504,6 @@ def run_table_batch(
         else:
             results.append(builder(seed).run())
     return results
-
-
-#: Seed used to build the throwaway test instance a prewarm compiles
-#: its PFA from.  Any value works: the cached compilation is reused
-#: only after a source-PFA equality check, so a seed-dependent
-#: automaton simply recompiles on first real use.
-PREWARM_SEED = 0
-
-
-def prewarm_table(table: Sequence["ScenarioBuilder"]) -> int:
-    """Worker-side entry point: populate this process's cache for a
-    table of upcoming builders, running nothing.
-
-    The cache-building half of :func:`run_table_batch` on its own: for
-    each portable :class:`~repro.workloads.registry.ScenarioRef` /
-    :class:`~repro.ptest.replay.ReplayRef` in ``table``, resolve the
-    registry builder, validate its parameters, parse any merged
-    pattern, and compile the scenario's pattern automaton — so the
-    first real batch that needs the entry finds it hot.  Advisory by
-    design: unresolvable entries are skipped (real dispatch raises the
-    informative error), and nothing here can change a later result —
-    the entries built are exactly the ones :func:`run_table_batch`
-    would have built on first contact.  Returns how many entries are
-    warm (pre-existing ones included).
-    """
-    from repro.ptest.replay import ReplayRef
-    from repro.workloads.registry import ScenarioRef
-
-    warmed = 0
-    for builder in table:
-        try:
-            if isinstance(builder, ScenarioRef) and builder.registry is None:
-                entry = _cache_entry(
-                    builder.cache_key,
-                    lambda ref=builder: _resolved_entry(ref),
-                )
-            elif isinstance(builder, ReplayRef) and builder.portable:
-                entry = _cache_entry(
-                    builder.cache_key,
-                    lambda ref=builder: _resolved_entry(
-                        ref.scenario, merged=ref.merged()
-                    ),
-                )
-            else:
-                continue
-            _prime_compiled_pfa(
-                entry.builder(PREWARM_SEED, **entry.params), entry
-            )
-            warmed += 1
-        except Exception:
-            continue  # the round's own dispatch surfaces the error
-    return warmed
 
 
 @dataclass

@@ -107,7 +107,6 @@ class CampaignSpec:
     pipeline: str | None = None
     rounds: int | None = None
     max_sources: int | None = None
-    prewarm: bool = True
     checkpoint: str | None = None
     resume: bool = False
 
@@ -174,7 +173,6 @@ class CampaignSpec:
                 )
         _check_type("quarantine", self.quarantine, (bool,), "a boolean")
         _check_type("resume", self.resume, (bool,), "a boolean")
-        _check_type("prewarm", self.prewarm, (bool,), "a boolean")
         _check_type(
             "capture_per_variant",
             self.capture_per_variant,
@@ -309,7 +307,6 @@ class CampaignSpec:
             "pipeline",
             "rounds",
             "max_sources",
-            "prewarm",
             "checkpoint",
             "resume",
         ):
@@ -414,7 +411,6 @@ class SpecOutcome:
     #: ``rounds`` (``None`` entries for serial rounds).  Process-local:
     #: never part of the bit-identity payload.
     pool_ids: tuple[int | None, ...] = ()
-    prewarmed_refs: int = 0
     resumed_rounds: int = 0
     #: The resolved round budget (adapt mode; ``None`` otherwise).
     rounds_budget: int | None = None
@@ -562,7 +558,6 @@ def _execute_adapt(
         workers=spec.workers,
         batch_size=spec.batch_size,
         capture_per_variant=spec.capture_per_variant,
-        prewarm=spec.prewarm,
         cell_timeout=spec.cell_timeout,
         quarantine=spec.quarantine,
         checkpoint=spec.checkpoint,
@@ -597,7 +592,6 @@ def _execute_adapt(
         rounds=tuple(round_results),
         stopped_early=result.stopped_early,
         pool_ids=result.pool_ids,
-        prewarmed_refs=result.prewarmed_refs,
         resumed_rounds=result.resumed_rounds,
         rounds_budget=rounds,
         schedule=schedule,

@@ -31,7 +31,10 @@ thread into the connection's writer task, and error handling reuses
 the CLI's exit-3 machinery: ``error`` frames carry the same one-line
 :func:`~repro.ptest.executor.executor_diagnosis` and quarantine hint,
 and a hung request is bounded by the spec's own watchdog
-(``cell_timeout``), never by killing the server.
+(``cell_timeout``), never by killing the server.  Spec fields that
+name a server-side file (``checkpoint``, ``resume``) are refused with a
+``config`` error frame before admission; they stay available to local
+runs.
 
 **Determinism.**  ``round`` frames are
 :func:`~repro.ptest.spec.round_to_dict` payloads of JSON-exact
@@ -303,6 +306,7 @@ class CampaignServer:
             request_id = f"r{self._request_seq}"
         try:
             spec = CampaignSpec.from_dict(message.get("spec") or {})
+            _check_servable(spec)
         except ConfigError as error:
             frames.put_nowait(_error_frame(request_id, "config", 2, str(error)))
             return
@@ -360,7 +364,6 @@ class CampaignServer:
                 "rounds": len(outcome.rounds),
                 "stopped_early": outcome.stopped_early,
                 "pool_ids": list(outcome.pool_ids),
-                "prewarmed_refs": outcome.prewarmed_refs,
                 "resumed_rounds": outcome.resumed_rounds,
                 "rounds_budget": outcome.rounds_budget,
                 "total_detections": outcome.total_detections,
@@ -371,6 +374,25 @@ class CampaignServer:
                     else None
                 ),
             }
+        )
+
+
+#: Spec fields that name a file on the machine executing the spec.  A
+#: served spec comes from a remote client, so the server refuses them:
+#: ``checkpoint`` would let the client overwrite any file the server
+#: can write, and ``resume`` would make it unpickle any file it can read.
+_LOCAL_ONLY = ("checkpoint", "resume")
+
+
+def _check_servable(spec: CampaignSpec) -> None:
+    """Raise :class:`~repro.errors.ConfigError` naming every
+    :data:`_LOCAL_ONLY` field ``spec`` sets."""
+    given = [name for name in _LOCAL_ONLY if getattr(spec, name)]
+    if given:
+        raise ConfigError(
+            f"{', '.join(given)} cannot be served: the field names a "
+            "file on the server; run checkpointed campaigns locally "
+            "(repro adapt --checkpoint) instead"
         )
 
 

@@ -63,7 +63,6 @@ ROUND_TRIP_SPECS = [
         mode="adapt",
         pipeline="grid_zoom:2,replay:1",
         max_sources=3,
-        prewarm=False,
         checkpoint="/tmp/ck.json",
         resume=True,
         seeds=(5, 6),
@@ -225,12 +224,12 @@ def test_validate_runs_on_from_json_too():
         CampaignSpec.from_json(payload)
 
 
-@pytest.mark.parametrize("key", ["batch_sampling", "merge_batch"])
+@pytest.mark.parametrize("key", ["batch_sampling", "merge_batch", "prewarm"])
 @pytest.mark.parametrize("value", [True, False, None])
 def test_removed_batch_knobs_are_rejected_by_name(key, value):
-    # The vectorized-sampling knobs are gone.  A spec that still sets
-    # one must fail loudly with the key named, never run as if the key
-    # had been dropped.
+    # The vectorized-sampling and pre-warming knobs are gone.  A spec
+    # that still sets one must fail loudly with the key named, never
+    # run as if the key had been dropped.
     payload = {"scenario": "philosophers", "seeds": [0], key: value}
     for parse in (
         lambda: CampaignSpec.from_dict(payload),

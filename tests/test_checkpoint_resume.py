@@ -190,6 +190,22 @@ class TestResumeBitIdentity:
         assert _result_signature(result) == _result_signature(_campaign(Repeat()).run())
 
 
+    def test_checkpoint_with_retired_key_still_resumes(self, tmp_path):
+        # Version-1 checkpoints written while cross-round pre-warming
+        # existed carry a ``prewarmed_refs`` key.  Nothing reads it, so
+        # they resume as they are.
+        path = tmp_path / "older.ckpt"
+        _campaign(Repeat(), rounds=1, checkpoint=path).run()
+        payload = pickle.loads(path.read_bytes())
+        payload["prewarmed_refs"] = 1
+        path.write_bytes(pickle.dumps(payload))
+        resumed = _campaign(Repeat(), checkpoint=path, resume=True).run()
+        assert resumed.resumed_rounds == 1
+        assert _result_signature(resumed) == _result_signature(
+            _campaign(Repeat()).run()
+        )
+
+
 class TestCheckpointHygiene:
     def test_save_is_atomic_no_temp_left_behind(self, tmp_path):
         path = tmp_path / "atomic.ckpt"
@@ -267,7 +283,6 @@ class TestCheckpointHygiene:
         store.save(
             fingerprint="x",
             observations=[],
-            prewarmed_refs=0,
             stopped_early=False,
             finished=False,
         )

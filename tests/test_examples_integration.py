@@ -64,7 +64,7 @@ def test_pipeline_sweep():
     assert "stage=replay" in output
     assert "replay[phil[" in output
     assert "pool stable across the composed schedule: True" in output
-    assert "prewarmed 4 ref(s)" in output
+    assert "schedule: True; 4 round(s)" in output
 
 
 @pytest.mark.slow

@@ -17,6 +17,8 @@ flow.
 from __future__ import annotations
 
 import json
+import pathlib
+import pickle
 import socket
 import threading
 import time
@@ -235,7 +237,7 @@ def test_invalid_spec_payload_is_config_error_frame(server):
     assert "workers" in frame["message"]
 
 
-@pytest.mark.parametrize("key", ["batch_sampling", "merge_batch"])
+@pytest.mark.parametrize("key", ["batch_sampling", "merge_batch", "prewarm"])
 def test_removed_spec_keys_are_config_error_frames(server, key):
     # A client still sending a retired knob gets an error frame naming
     # it; the server stays up and settles back to idle.
@@ -256,6 +258,51 @@ def test_removed_spec_keys_are_config_error_frames(server, key):
     assert status["active"] == 0
     assert status["queue_depth"] == 0
     assert status["draining"] is False
+
+
+class _Trap:
+    """Unpickling this creates ``marker`` — proof a file was loaded."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return (pathlib.Path.touch, (pathlib.Path(self.marker),))
+
+
+@pytest.mark.parametrize("field", ["checkpoint", "resume"])
+def test_server_side_file_fields_are_config_error_frames(
+    server, tmp_path, field
+):
+    # A served spec must not make the server write (checkpoint) or
+    # unpickle (resume) a file the client names.
+    path = tmp_path / "campaign.ckpt"
+    marker = tmp_path / "unpickled"
+    extra = {"checkpoint": str(path)}
+    if field == "resume":
+        extra["resume"] = True
+        path.write_bytes(pickle.dumps(_Trap(marker)))
+    payload = {
+        "scenario": "philosophers",
+        "mode": "adapt",
+        "seeds": [0],
+        "policy": "repeat",
+        "rounds": 1,
+        **extra,
+    }
+    with Client(*server.address) as client:
+        client._send({"op": "run", "id": "file1", "spec": payload})
+        frame = client._recv()
+        assert frame["type"] == "error"
+        assert frame["kind"] == "config"
+        assert frame["exit_code"] == 2
+        assert field in frame["message"]
+        assert client.ping()
+        status = client.status()
+    assert status["active"] == 0
+    assert status["queue_depth"] == 0
+    assert path.exists() == (field == "resume")
+    assert not marker.exists()
 
 
 def test_malformed_json_keeps_connection_alive(server):
